@@ -10,7 +10,7 @@ Run:  python examples/graph_analytics.py
 """
 import numpy as np
 
-from repro import FIGURE6_TECHNIQUES, Machine
+from repro import Machine, techniques
 from repro.gpu.config import scaled_config
 from repro.workloads import make_workload
 
@@ -20,7 +20,7 @@ def run(workload_name, iterations, scale=0.2):
     print(f"{'technique':14s} {'cycles':>10s} {'gld':>9s} {'L1':>7s} "
           f"{'PKI':>6s}  checksum")
     results = {}
-    for tech in FIGURE6_TECHNIQUES:
+    for tech in techniques.paper_techniques():
         m = Machine(tech, config=scaled_config())
         wl = make_workload(workload_name, m, scale=scale, seed=3)
         stats = wl.run(iterations)

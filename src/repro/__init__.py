@@ -42,8 +42,6 @@ from .errors import (
 from . import techniques
 from .frontend import abstract, device_class, kernel, virtual
 from .gpu import (
-    FIGURE6_TECHNIQUES,
-    TECHNIQUES,
     GPUConfig,
     InstrClass,
     KernelStats,
@@ -82,8 +80,6 @@ __all__ = [
     "TypeTagOverflow",
     "UnknownTechniqueError",
     "techniques",
-    "FIGURE6_TECHNIQUES",
-    "TECHNIQUES",
     "GPUConfig",
     "InstrClass",
     "KernelStats",

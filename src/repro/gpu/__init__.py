@@ -12,8 +12,8 @@ from .config import CacheGeometry, GPUConfig, small_config
 from .dram import DRAMModel, account_rows
 from .executor import WARP_SIZE, ExecutionContext, launch
 from .isa import InstrClass, Opcode, TraceRecord
-from .machine import FIGURE6_TECHNIQUES, TECHNIQUES, Machine
-from .replay import ENGINES, ReferenceEngine, ReplayEngine, VectorEngine
+from .machine import Machine
+from .replay import ENGINES, FusedEngine, ReferenceEngine, ReplayEngine
 from .stats import KernelStats
 from .timing import bottleneck, compute_cycles, finalize_timing, memory_cycles
 from .trace import MemoryTrace, flatten_wave
@@ -37,13 +37,11 @@ __all__ = [
     "InstrClass",
     "Opcode",
     "TraceRecord",
-    "FIGURE6_TECHNIQUES",
-    "TECHNIQUES",
     "Machine",
     "ENGINES",
     "ReplayEngine",
     "ReferenceEngine",
-    "VectorEngine",
+    "FusedEngine",
     "KernelStats",
     "MemoryTrace",
     "flatten_wave",

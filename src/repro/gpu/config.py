@@ -97,12 +97,12 @@ class GPUConfig:
 
     # ------------------------------------------------------------------
     # replay engine (stage two of the capture -> replay pipeline).
-    # "reference", "vector" and "fused" are cross-validated
-    # bit-identical (tests/test_replay_engines.py); the env var
-    # REPRO_REPLAY_ENGINE overrides this per process.  See
+    # "reference" (the spec) and "fused" (the fast path) are
+    # cross-validated bit-identical (tests/test_replay_engines.py); the
+    # env var REPRO_REPLAY_ENGINE overrides this per process.  See
     # repro.gpu.replay.
     # ------------------------------------------------------------------
-    replay_engine: str = "vector"
+    replay_engine: str = "fused"
 
     # ------------------------------------------------------------------
     # TLB model (off by default; see repro.gpu.tlb and the TLB ablation)

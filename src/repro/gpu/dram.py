@@ -3,7 +3,7 @@
 The cache hierarchy already counts the sectors that reach DRAM; this
 module adds byte accounting, a simple efficiency report so ablation
 benches can show how much of the paper's win is DRAM traffic, and the
-vectorized row-buffer pass the :class:`~repro.gpu.replay.VectorEngine`
+vectorized row-buffer pass the :class:`~repro.gpu.replay.FusedEngine`
 runs over each wave's DRAM miss stream.
 """
 from __future__ import annotations

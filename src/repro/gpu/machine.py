@@ -32,7 +32,6 @@ from ..memory.mmu import MMU
 from ..runtime.objects import DeviceArray
 from ..runtime.typesystem import ObjectLayout, TypeDescriptor, TypeRegistry
 from ..runtime.vtable import VTableArena
-from ..techniques import available as _available_techniques
 from ..techniques import resolve as _resolve_technique
 from .cache import MemoryHierarchy
 from .config import GPUConfig
@@ -41,17 +40,6 @@ from .replay import make_engine, resolve_engine_name
 from .tlb import TLBHierarchy
 from .executor import launch as _launch
 from .stats import KernelStats
-
-#: Deprecated alias: canonical technique names at import time.  New code
-#: should query :func:`repro.techniques.available` instead, which also
-#: reflects user registrations.
-TECHNIQUES = _available_techniques()
-
-#: Deprecated alias: the five configurations of the paper's Figure 6 in
-#: plotting order, frozen so historical figure output is reproducible.
-#: The sweeps now default to :func:`repro.techniques.figure_techniques`
-#: (these five plus ``soa``).
-FIGURE6_TECHNIQUES = ("cuda", "concord", "sharedoa", "coal", "typepointer")
 
 #: Process-wide replay memo newly constructed machines attach by
 #: default (None = no memo).  Worker processes of the parallel
@@ -112,13 +100,8 @@ class Machine:
         #: any launch); plus the trace-hash chain and pending traces
         self._replay_memo = _DEFAULT_REPLAY_MEMO
         self._trace_chain: Optional[bytes] = None
-        self._pending_traces: List[object] = []
+        self._pending_traces: List[list] = []
         self._waves_replayed = 0
-        #: optional zero-copy trace store (see harness.store.TraceStore):
-        #: memo hits spill their waves here instead of pinning raw
-        #: traces in memory until the next miss drains them
-        self._trace_store = None
-        self._trace_bucket: Optional[str] = None
 
         # no per-technique branching here: the registry spec carries the
         # dispatch strategy, allocator recipe and MMU mode
@@ -258,25 +241,6 @@ class Machine:
             )
         self._replay_memo = memo
 
-    def set_trace_store(self, store, bucket: str) -> None:
-        """Attach a zero-copy trace store for memo-hit waves.
-
-        Without a store, every memo hit pins its raw trace list in
-        memory until the next miss drains it through the engine -- an
-        unbounded cost on long warm runs.  With one attached, hit waves
-        are delta-encoded into the store's ``bucket`` (keyed by the
-        same chained hash as the memo) and the pending list holds only
-        the 20-byte keys; the drain decodes them back as views into
-        the mapped bucket file.  Same attach-before-first-launch rule
-        as the memo, for the same chaining reason.
-        """
-        if self._waves_replayed:
-            raise LaunchError(
-                "trace store must be attached before the first launch"
-            )
-        self._trace_store = store
-        self._trace_bucket = bucket
-
     def _advance_chain(self, traces) -> bytes:
         import hashlib
 
@@ -315,19 +279,12 @@ class Machine:
         if hit is not None:
             obs.count("machine.memo_hits")
             stats.merge(hit)
-            if self._trace_store is not None:
-                self._trace_store.put_wave(self._trace_bucket, key, traces)
-                self._pending_traces.append(key)
-            else:
-                self._pending_traces.append(traces)
+            self._pending_traces.append(traces)
             return
         obs.count("machine.memo_misses")
         if self._pending_traces:
             scratch = KernelStats()
             for wave in self._pending_traces:
-                if isinstance(wave, bytes):
-                    wave = self._trace_store.get_wave(
-                        self._trace_bucket, wave)
                 self.engine.replay_wave(wave, scratch)
             self._pending_traces.clear()
         delta = KernelStats()

@@ -2,9 +2,9 @@
 
 A :class:`ReplayEngine` consumes one wave of :class:`MemoryTrace`
 records (see :mod:`repro.gpu.trace`) and charges their cache/DRAM
-effects into a :class:`KernelStats`.  Three implementations are kept
+effects into a :class:`KernelStats`.  Two implementations are kept
 and cross-validated against each other (``tests/test_replay_engines.py``
-asserts bit-identical counters):
+asserts bit-identical counters and DRAM row state):
 
 ``ReferenceEngine``
     the historical semantics, verbatim: the dict-based
@@ -12,34 +12,18 @@ asserts bit-identical counters):
     transaction at a time in the wave's round-robin interleave.  This
     is the executable specification.
 
-``VectorEngine``
-    the fast engine.  The wave is flattened into struct-of-arrays form
-    up front (``trace.flatten_wave``): interleave scheduling, set/tag
-    decomposition, sector popcounts and per-role attribution are all
-    batched numpy work, and DRAM row-buffer accounting is vectorized
-    per bank after the fact.  Only the inherently order-dependent cache
-    state transitions remain sequential, and those run as a tight loop
-    over packed integers -- each line is one dict entry holding
-    ``(lru_stamp << 4) | sector_mask``, so probe/refresh/evict are a
-    couple of int ops.  LRU stamps are unique per set (the clock ticks
-    every access), which makes packed-value ordering identical to LRU
-    ordering and eviction bit-compatible with the reference.
-
 ``FusedEngine``
-    the fastest engine.  The whole coalesce -> L1 -> L2 -> DRAM walk
-    runs as a single vectorized pass per cache level: the transaction
+    the fast engine and the default.  The wave is flattened into
+    struct-of-arrays form up front (``trace.flatten_wave``) and each
+    cache level runs as a single vectorized pass: the transaction
     stream is sorted by (set, tag), tag-runs are compressed to one
     representative each, and the survivors are scheduled into dense
     *rounds* of set-distinct accesses so the packed-integer cache
     transition becomes a handful of 2-d numpy gathers/scatters per
     round instead of a python loop per transaction (section 5.10 of
-    DESIGN.md).  Everything state-independent about a wave -- flatten
-    output, sort permutations, run structure, the round schedule --
-    is stitched once per trace-shape signature and memoized in a
-    digest-keyed *plan cache*, so repeated waves (fixpoint loops in
-    the graph workloads repeat 60-75% of their traffic verbatim) pay
-    only the state-dependent work.  Equivalence with the clock-stamp
-    engines rests on LRU stamps only ever being *compared within one
+    DESIGN.md).  DRAM row-buffer accounting is vectorized per bank
+    over the L2 miss stream.  Equivalence with the reference's clock
+    stamps rests on LRU stamps only ever being *compared within one
     set of one level*: any stamping that is monotone in service order
     per set (here: flat wave positions) makes identical decisions.
 
@@ -51,13 +35,12 @@ did-you-mean hints, same UX as unknown techniques.
 from __future__ import annotations
 
 import difflib
-import hashlib
 import os
 from typing import List, Protocol
 
 import numpy as np
 
-from ..errors import LaunchError, UnknownEngineError
+from ..errors import UnknownEngineError
 from .cache import MemoryHierarchy
 from .config import GPUConfig
 from .dram import account_rows
@@ -65,7 +48,7 @@ from .stats import KernelStats
 from .trace import MemoryTrace, POPCOUNT4, flatten_wave, role_name
 
 #: engine names accepted by GPUConfig.replay_engine / REPRO_REPLAY_ENGINE
-ENGINES = ("reference", "vector", "fused")
+ENGINES = ("reference", "fused")
 
 #: environment override checked at machine construction
 ENGINE_ENV_VAR = "REPRO_REPLAY_ENGINE"
@@ -104,8 +87,6 @@ def make_engine(name: str, config: GPUConfig,
     """Construct the named engine against one machine's hierarchy/config."""
     if name == "reference":
         return ReferenceEngine(hierarchy)
-    if name == "vector":
-        return VectorEngine(config)
     if name == "fused":
         return FusedEngine(config)
     raise _unknown_engine(name)
@@ -160,183 +141,6 @@ class ReferenceEngine:
 
 
 # ----------------------------------------------------------------------
-# vector engine
-# ----------------------------------------------------------------------
-_POP = POPCOUNT4.tolist()
-
-
-class VectorEngine:
-    """Array-flattened replay with packed-integer cache cores."""
-
-    name = "vector"
-
-    def __init__(self, config: GPUConfig):
-        self.config = config
-        g1, g2 = config.l1, config.l2
-        self.num_sms = config.num_sms
-        self._l1_line_bytes = g1.line_bytes
-        self._l1_nsets = g1.num_sets
-        self._l1_assoc = g1.assoc
-        self._l2_line_bytes = g2.line_bytes
-        self._l2_nsets = g2.num_sets
-        self._l2_assoc = g2.assoc
-        # per-SM L1s: one dict per set, tag -> (lru << 4) | sector_mask
-        self._l1 = [
-            [dict() for _ in range(self._l1_nsets)]
-            for _ in range(self.num_sms)
-        ]
-        self._l1_clock = [0] * self.num_sms
-        self._l2 = [dict() for _ in range(self._l2_nsets)]
-        self._l2_clock = 0
-        # DRAM row-buffer state (per bank), as the hierarchy keeps it
-        self._row_bytes = config.dram_row_bytes
-        self._num_banks = config.dram_num_banks
-        self._open_rows = {}
-        self.dram_row_hits = 0
-
-    # ------------------------------------------------------------------
-    def replay_wave(self, traces: List[MemoryTrace],
-                    stats: KernelStats) -> None:
-        flat = flatten_wave(traces)
-        if flat is None:
-            return
-        line, mask, sm, store, role, nsec = flat
-        n = len(line)
-
-        # batched set/tag decomposition for both levels
-        l1_line_no = (line // np.uint64(self._l1_line_bytes)).astype(np.int64)
-        l1_set = l1_line_no % self._l1_nsets
-        l1_tag = l1_line_no // self._l1_nsets
-        l2_line_no = (line // np.uint64(self._l2_line_bytes)).astype(np.int64)
-        l2_set = l2_line_no % self._l2_nsets
-        l2_tag = l2_line_no // self._l2_nsets
-
-        # python-int views for the sequential core
-        mask_l = mask.tolist()
-        nsec_l = nsec.tolist()
-        sm_l = sm.tolist()
-        store_l = store.tolist()
-        l1_set_l = l1_set.tolist()
-        l1_tag_l = l1_tag.tolist()
-        l2_set_l = l2_set.tolist()
-        l2_tag_l = l2_tag.tolist()
-
-        l1h = [0] * n
-        l2h = [0] * n
-        drm = [0] * n
-        # lines whose sectors reached DRAM, in service order (loads and
-        # stores interleaved exactly as the reference visits them)
-        row_lines: List[int] = []
-
-        l1_banks = self._l1
-        l1_clocks = self._l1_clock
-        l2_sets = self._l2
-        l2_clock = self._l2_clock
-        l1_assoc = self._l1_assoc
-        l2_assoc = self._l2_assoc
-        num_sms = self.num_sms
-        pop = _POP
-
-        for i in range(n):
-            m = mask_l[i]
-            l2_req = m
-            if store_l[i]:
-                # write-through L1: refresh sectors if present, no clock
-                d1 = l1_banks[sm_l[i] % num_sms][l1_set_l[i]]
-                t1 = l1_tag_l[i]
-                v1 = d1.get(t1)
-                if v1 is not None:
-                    d1[t1] = v1 | m
-            else:
-                # L1 load access (allocate)
-                d1 = l1_banks[sm_l[i] % num_sms][l1_set_l[i]]
-                t1 = l1_tag_l[i]
-                smi = sm_l[i] % num_sms
-                clk = l1_clocks[smi] + 1
-                l1_clocks[smi] = clk
-                v1 = d1.get(t1)
-                if v1 is not None:
-                    cm = v1 & 15
-                    miss = m & ~cm
-                    d1[t1] = (clk << 4) | cm | m
-                else:
-                    miss = m
-                    if len(d1) >= l1_assoc:
-                        del d1[min(d1, key=d1.__getitem__)]
-                    d1[t1] = (clk << 4) | m
-                l1h[i] = pop[m] - pop[miss]
-                if not miss:
-                    continue
-                l2_req = miss
-            # L2 access (allocate) -- l1 misses of loads, all stores
-            d2 = l2_sets[l2_set_l[i]]
-            t2 = l2_tag_l[i]
-            l2_clock += 1
-            v2 = d2.get(t2)
-            if v2 is not None:
-                cm = v2 & 15
-                miss2 = l2_req & ~cm
-                d2[t2] = (l2_clock << 4) | cm | l2_req
-            else:
-                miss2 = l2_req
-                if len(d2) >= l2_assoc:
-                    del d2[min(d2, key=d2.__getitem__)]
-                d2[t2] = (l2_clock << 4) | l2_req
-            if not store_l[i]:
-                l2h[i] = pop[l2_req] - pop[miss2]
-                drm[i] = pop[miss2]
-            if miss2:
-                row_lines.append(i)
-
-        self._l2_clock = l2_clock
-
-        # ------------------------------------------------------------------
-        # vectorized DRAM row-buffer accounting over the miss stream
-        # ------------------------------------------------------------------
-        if row_lines:
-            hits, misses = account_rows(
-                line[np.asarray(row_lines, dtype=np.int64)],
-                self._row_bytes, self._num_banks, self._open_rows,
-            )
-            stats.dram_row_misses += misses
-            self.dram_row_hits += hits
-
-        # ------------------------------------------------------------------
-        # bulk counter accumulation
-        # ------------------------------------------------------------------
-        is_load = ~store
-        l1h_a = np.asarray(l1h, dtype=np.int64)
-        l2h_a = np.asarray(l2h, dtype=np.int64)
-        drm_a = np.asarray(drm, dtype=np.int64)
-        l1_acc = int(nsec[is_load].sum())
-        l1_hits = int(l1h_a.sum())
-        stats.l1_accesses += l1_acc
-        stats.l1_hits += l1_hits
-        stats.l2_accesses += l1_acc - l1_hits
-        stats.l2_hits += int(l2h_a.sum())
-        stats.dram_accesses += int(drm_a.sum())
-
-        # per-role L1/L2/DRAM attribution (loads only, like the reference)
-        load_roles = role[is_load]
-        if len(load_roles):
-            minlength = int(load_roles.max()) + 1
-            by_l1 = np.bincount(load_roles, weights=l1h_a[is_load],
-                                minlength=minlength)
-            by_l2 = np.bincount(load_roles, weights=l2h_a[is_load],
-                                minlength=minlength)
-            by_dr = np.bincount(load_roles, weights=drm_a[is_load],
-                                minlength=minlength)
-            present = np.bincount(load_roles, minlength=minlength)
-            for rid in np.flatnonzero(present).tolist():
-                if rid == 0:
-                    continue  # role None is never attributed
-                stats.add_role_levels(
-                    role_name(rid), int(by_l1[rid]), int(by_l2[rid]),
-                    int(by_dr[rid]),
-                )
-
-
-# ----------------------------------------------------------------------
 # fused engine
 # ----------------------------------------------------------------------
 
@@ -365,61 +169,22 @@ def _shift_of(x: int):
     return x.bit_length() - 1 if x > 0 and (x & (x - 1)) == 0 else None
 
 
-class _PlanCache:
-    """Insertion-ordered plan cache bounded by estimated byte cost.
-
-    Plans hold O(wave) arrays, so a count cap alone could pin gigabytes
-    on large waves; eviction is FIFO (oldest wave shape first), which
-    matches how fixpoint workloads retire wave shapes.
-    """
-
-    def __init__(self, budget_bytes: int):
-        self.budget = budget_bytes
-        self._d = {}
-        self._cost = {}
-        self._bytes = 0
-
-    def get(self, key):
-        return self._d.get(key)
-
-    def put(self, key, value, cost: int) -> None:
-        if key in self._d:
-            self._bytes -= self._cost[key]
-        self._d[key] = value
-        self._cost[key] = cost
-        self._bytes += cost
-        while self._bytes > self.budget and len(self._d) > 1:
-            k = next(iter(self._d))
-            if k == key:
-                break
-            del self._d[k]
-            self._bytes -= self._cost.pop(k)
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-
 class FusedEngine:
-    """Single-pass vectorized replay with a per-wave-shape plan cache.
+    """Single-pass vectorized replay, one dense pass per cache level.
 
     The engine's LRU stamps are flat wave positions rather than the
-    clock ticks the other engines use.  Stamps are only ever compared
+    clock ticks the reference uses.  Stamps are only ever compared
     within one set of one cache level, and positions are strictly
     monotone in service order there, so every hit/evict decision -- and
     therefore every counter -- is bit-identical to the reference
     (DESIGN.md section 5.10 carries the full argument).
 
     State lives in four dense tables (``tag``/``val`` per level) of
-    shape ``(num_sets, assoc)``; empty ways hold tag -1 / value 0,
-    matching the packed dict encoding of :class:`VectorEngine`.
+    shape ``(num_sets, assoc)``.  A way's value packs
+    ``(stamp << 4) | sector_mask``; empty ways hold tag -1 / value 0.
     """
 
     name = "fused"
-
-    #: byte budgets for the two plan caches (class attrs so tests and
-    #: memory-constrained callers can dial them down)
-    WAVE_PLAN_BUDGET = 64 << 20
-    L2_PLAN_BUDGET = 64 << 20
 
     def __init__(self, config: GPUConfig):
         self.config = config
@@ -448,44 +213,6 @@ class FusedEngine:
         self._l1_ns_sh = _shift_of(g1.num_sets)
         self._l2_lb_sh = _shift_of(g2.line_bytes)
         self._l2_ns_sh = _shift_of(g2.num_sets)
-        self._plans = _PlanCache(self.WAVE_PLAN_BUDGET)
-        self._l2_plans = _PlanCache(self.L2_PLAN_BUDGET)
-        self._shard_pool = None
-
-    # ------------------------------------------------------------------
-    def attach_shard_pool(self, pool) -> None:
-        """Route every wave's L1 pass through a worker pool.
-
-        ``pool`` is duck-typed (see ``harness.service.WaveShardPool``):
-        it owns ``num_shards`` persistent workers, each holding the L1
-        state for its share of the SMs, and runs their build/exec for
-        each wave.  Must be attached before the first wave: L1 state is
-        partitioned across the workers, so serial and sharded passes
-        cannot be mixed within one engine lifetime.
-        """
-        if self._stamp != 1:
-            raise LaunchError(
-                "attach_shard_pool: engine has already replayed waves; "
-                "L1 state cannot migrate into the pool"
-            )
-        self._shard_pool = pool
-        self._plans = _PlanCache(self.WAVE_PLAN_BUDGET)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _digest(traces) -> bytes:
-        """Plan-cache key: blake2b over the replay-relevant columns."""
-        h = hashlib.blake2b(digest_size=16)
-        for t in traces:
-            if not t.n_accesses:
-                continue
-            h.update(t.line.tobytes())
-            h.update(t.mask.tobytes())
-            h.update(t.txn_count.tobytes())
-            h.update(t.store.tobytes())
-            h.update(t.role.tobytes())
-            h.update(t.sm.to_bytes(4, "little"))
-        return h.digest()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -823,18 +550,26 @@ class FusedEngine:
         return hits, residue
 
     # ------------------------------------------------------------------
-    def _wave_plan(self, traces, dig):
-        """Build and cache the state-independent artifacts of one wave."""
+    @staticmethod
+    def _line_no(line, lb_sh, line_bytes):
+        if lb_sh is not None:
+            return (line >> np.uint64(lb_sh)).astype(np.int64)
+        return (line // np.uint64(line_bytes)).astype(np.int64)
+
+    def replay_wave(self, traces: List[MemoryTrace],
+                    stats: KernelStats) -> None:
         flat = flatten_wave(traces)
         if flat is None:
-            self._plans.put(dig, "empty", 64)
-            return None
+            return
         line, mask, sm, store, role, nsec = flat
         n = len(line)
-        if self._l1_lb_sh is not None:
-            l1n = (line >> np.uint64(self._l1_lb_sh)).astype(np.int64)
-        else:
-            l1n = (line // np.uint64(self._l1_line_bytes)).astype(np.int64)
+        # reserve a disjoint stamp window for this wave: L1 uses
+        # base..base+n-1 (relative positions), L2 uses base+n+1..base+2n
+        base = self._stamp
+        self._stamp = base + 2 * n + 2
+
+        # L1: per-SM sets flattened into one key space
+        l1n = self._line_no(line, self._l1_lb_sh, self._l1_line_bytes)
         if self._l1_ns_sh is not None:
             l1_key = (sm % self.num_sms) * self._l1_nsets + \
                 (l1n & (self._l1_nsets - 1))
@@ -844,120 +579,58 @@ class FusedEngine:
                 (l1n % self._l1_nsets)
             l1_tag = l1n // self._l1_nsets
         req = mask.astype(np.int64)
-        pool = self._shard_pool
-        if pool is None:
-            l1 = self._build_plan(l1_key, l1_tag, req, store, self._ns1,
-                                  self._l1_assoc, allocate_all=False)
-            shards = None
-        else:
-            # partition the stream by owning SM shard; each worker
-            # builds/executes the plan for its own subset
-            l1 = None
-            nsh = pool.num_shards
-            sh = (sm % self.num_sms) % nsh
-            shards = []
-            for s in range(nsh):
-                idx_s = np.flatnonzero(sh == s)
-                shards.append((idx_s, l1_key[idx_s], l1_tag[idx_s],
-                               req[idx_s], store[idx_s]))
+        l1 = self._build_plan(l1_key, l1_tag, req, store, self._ns1,
+                              self._l1_assoc, allocate_all=False)
+        l1h, l1_res = self._exec_plan(l1, self._l1_tag, self._l1_val, base)
+
         is_load = ~store
         load_roles = role[is_load]
         minlength = int(load_roles.max()) + 1 if len(load_roles) else 0
-        plan = {
-            "l1": l1, "l1_shards": shards, "n": n, "line": line,
-            "store": store, "req": req, "role": role, "is_load": is_load,
-            "load_roles": load_roles, "minlength": minlength,
-            "l1_acc": int(nsec[is_load].sum()),
-            "present": (np.bincount(load_roles, minlength=minlength)
-                        if minlength else None),
-        }
-        self._plans.put(dig, plan, 40 * 8 * n)
-        return plan
 
-    def _l2_plan(self, plan, idx2, l1_res):
-        """L2 stream plan; a function of wave content plus L1 residues."""
-        line2 = plan["line"][idx2]
-        store = plan["store"]
-        l2_req = np.where(store[idx2], plan["req"][idx2], l1_res[idx2])
-        if self._l2_lb_sh is not None:
-            l2n = (line2 >> np.uint64(self._l2_lb_sh)).astype(np.int64)
-        else:
-            l2n = (line2 // np.uint64(self._l2_line_bytes)).astype(np.int64)
-        if self._l2_ns_sh is not None:
-            l2_key = l2n & (self._l2_nsets - 1)
-            l2_tag = l2n >> self._l2_ns_sh
-        else:
-            l2_key = l2n % self._l2_nsets
-            l2_tag = l2n // self._l2_nsets
-        p = self._build_plan(l2_key, l2_tag, l2_req, None, self._l2_nsets,
-                             self._l2_assoc, allocate_all=True)
-        ld2 = plan["is_load"][idx2]
-        return {"p": p, "line2": line2, "ld2": ld2,
-                "roles2l": plan["role"][idx2][ld2]}
-
-    # ------------------------------------------------------------------
-    def replay_wave(self, traces: List[MemoryTrace],
-                    stats: KernelStats) -> None:
-        dig = self._digest(traces)
-        plan = self._plans.get(dig)
-        if plan is None:
-            plan = self._wave_plan(traces, dig)
-            if plan is None:
-                return
-        elif plan == "empty":
-            return
-        n = plan["n"]
-        # reserve a disjoint stamp window for this wave: L1 uses
-        # base..base+n-1 (relative positions), L2 uses base+n+1..base+2n
-        base = self._stamp
-        self._stamp = base + 2 * n + 2
-
-        if plan["l1_shards"] is not None:
-            l1h, l1_res = self._shard_pool.run_l1(plan["l1_shards"], dig,
-                                                  base, n)
-        else:
-            l1h, l1_res = self._exec_plan(plan["l1"], self._l1_tag,
-                                          self._l1_val, base)
-        store = plan["store"]
-        is_load = plan["is_load"]
-        go_l2 = store | (l1_res != 0)
-        idx2 = np.flatnonzero(go_l2)
+        # L2: every store (write-through) plus the loads' L1 residues
+        idx2 = np.flatnonzero(store | (l1_res != 0))
         stats_l2_hits = 0
         stats_dram = 0
         by_l2 = by_dr = None
-        minlength = plan["minlength"]
         if len(idx2):
-            rh = hashlib.blake2b(l1_res.tobytes(), digest_size=16).digest()
-            l2key = (dig, rh)
-            l2p = self._l2_plans.get(l2key)
-            if l2p is None:
-                l2p = self._l2_plan(plan, idx2, l1_res)
-                self._l2_plans.put(l2key, l2p, 24 * 8 * len(idx2))
-            h2, r2 = self._exec_plan(l2p["p"], self._l2_tag, self._l2_val,
+            line2 = line[idx2]
+            l2_req = np.where(store[idx2], req[idx2], l1_res[idx2])
+            l2n = self._line_no(line2, self._l2_lb_sh, self._l2_line_bytes)
+            if self._l2_ns_sh is not None:
+                l2_key = l2n & (self._l2_nsets - 1)
+                l2_tag = l2n >> self._l2_ns_sh
+            else:
+                l2_key = l2n % self._l2_nsets
+                l2_tag = l2n // self._l2_nsets
+            l2 = self._build_plan(l2_key, l2_tag, l2_req, None,
+                                  self._l2_nsets, self._l2_assoc,
+                                  allocate_all=True)
+            h2, r2 = self._exec_plan(l2, self._l2_tag, self._l2_val,
                                      base + n + 1)
-            ld2 = l2p["ld2"]
+            ld2 = is_load[idx2]
             drm2 = POPCOUNT4[r2]
             h2l = h2[ld2]
             drm2l = drm2[ld2]
             stats_l2_hits = int(h2l.sum())
             stats_dram = int(drm2l.sum())
+            # DRAM row buffers see every transaction whose sectors
+            # missed L2, loads and stores alike, in service order
             rsel = r2 != 0
             if rsel.any():
-                hits_, misses = account_rows(l2p["line2"][rsel],
-                                             self._row_bytes,
+                hits_, misses = account_rows(line2[rsel], self._row_bytes,
                                              self._num_banks,
                                              self._open_rows)
                 stats.dram_row_misses += misses
                 self.dram_row_hits += hits_
             if minlength:
-                roles2l = l2p["roles2l"]
+                roles2l = role[idx2][ld2]
                 by_l2 = np.bincount(roles2l, weights=h2l,
                                     minlength=minlength)
                 by_dr = np.bincount(roles2l, weights=drm2l,
                                     minlength=minlength)
 
         l1h_l = l1h[is_load]
-        l1_acc = plan["l1_acc"]
+        l1_acc = int(nsec[is_load].sum())
         l1_hits = int(l1h_l.sum())
         stats.l1_accesses += l1_acc
         stats.l1_hits += l1_hits
@@ -965,12 +638,14 @@ class FusedEngine:
         stats.l2_hits += stats_l2_hits
         stats.dram_accesses += stats_dram
 
+        # per-role L1/L2/DRAM attribution (loads only, like the reference)
         if minlength:
-            by_l1 = np.bincount(plan["load_roles"], weights=l1h_l,
+            by_l1 = np.bincount(load_roles, weights=l1h_l,
                                 minlength=minlength)
             if by_l2 is None:
                 by_l2 = by_dr = np.zeros(minlength)
-            for rid in np.flatnonzero(plan["present"]).tolist():
+            present = np.bincount(load_roles, minlength=minlength)
+            for rid in np.flatnonzero(present).tolist():
                 if rid == 0:
                     continue  # role None is never attributed
                 stats.add_role_levels(

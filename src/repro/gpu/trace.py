@@ -178,27 +178,6 @@ class MemoryTrace:
         return self
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_columns(cls, sm: int, line, mask, txn_count, txn_start,
-                     store, role) -> "MemoryTrace":
-        """Rehydrate a finalized trace from its frozen columns.
-
-        The arrays are adopted as-is (no copies, no dtype conversion);
-        this is the constructor the zero-copy trace store decodes into,
-        so read-only views over a mapped file are acceptable.
-        """
-        t = cls(sm)
-        t.line = line
-        t.mask = mask
-        t.txn_count = txn_count
-        t.txn_start = txn_start
-        t.store = store
-        t.role = role
-        t._sectors = None
-        t._seclens = t._stores = t._roles = None
-        return t
-
-    # ------------------------------------------------------------------
     @property
     def n_accesses(self) -> int:
         return len(self.txn_count)
@@ -285,113 +264,3 @@ def flatten_wave(traces: List[MemoryTrace]):
     role = np.repeat(roles[order], counts_o)
     nsec = POPCOUNT4[mask]
     return line, mask, sm, store, role, nsec
-
-
-# ----------------------------------------------------------------------
-# zero-copy wave encoding (the trace store's on-disk format)
-# ----------------------------------------------------------------------
-
-#: bump when the blob layout below changes; decoders reject mismatches.
-TRACE_ENCODING_VERSION = 1
-
-_TRACE_MAGIC = b"RTRC"
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-def _pad8(n: int) -> int:
-    return (-n) % 8
-
-
-def encode_wave(traces: List[MemoryTrace]) -> bytes:
-    """Serialize one wave of finalized traces into a flat binary blob.
-
-    Layout (little-endian, every column 8-byte aligned so mapped reads
-    can view it in place):
-
-    ``RTRC`` magic, u32 version, u64 trace count; then per trace a
-    24-byte header (``sm``, ``n_accesses``, ``n_txns`` as i64) followed
-    by the columns: ``line`` delta-encoded as i64 (first element
-    absolute, the rest wrapping uint64 differences -- graph traces walk
-    mostly-adjacent lines, so deltas keep the blob byte-entropy low for
-    filesystem compression), ``mask`` u8, ``txn_count`` i64, ``store``
-    u8 and ``role`` i16, each padded to the next 8-byte boundary.
-    ``txn_start`` is not stored; it is a prefix sum of ``txn_count``.
-    """
-    out = bytearray()
-    out += _TRACE_MAGIC
-    out += TRACE_ENCODING_VERSION.to_bytes(4, "little")
-    out += len(traces).to_bytes(8, "little")
-    for t in traces:
-        n_txn = t.n_txns
-        out += int(t.sm).to_bytes(8, "little", signed=True)
-        out += int(t.n_accesses).to_bytes(8, "little")
-        out += int(n_txn).to_bytes(8, "little")
-        if n_txn:
-            delta = np.empty(n_txn, dtype=np.uint64)
-            delta[0] = t.line[0]
-            np.subtract(t.line[1:], t.line[:-1], out=delta[1:])
-            out += delta.tobytes()
-            out += t.mask.tobytes()
-            out += b"\0" * _pad8(n_txn)
-        out += t.txn_count.tobytes()
-        out += t.store.tobytes()
-        out += b"\0" * _pad8(t.n_accesses)
-        out += t.role.astype(np.int16, copy=False).tobytes()
-        out += b"\0" * _pad8(2 * t.n_accesses)
-    return bytes(out)
-
-
-def decode_wave(buf, offset: int = 0) -> List[MemoryTrace]:
-    """Inverse of :func:`encode_wave`, reading from ``buf`` in place.
-
-    ``buf`` may be any buffer object -- bytes or an ``mmap`` -- and the
-    per-access columns come back as views into it (``np.frombuffer``),
-    so decoding a mapped bucket copies nothing but the cumulative sums
-    that undo the line deltas and rebuild ``txn_start``.
-    """
-    mv = memoryview(buf)
-    o = offset
-    if bytes(mv[o:o + 4]) != _TRACE_MAGIC:
-        raise ValueError("trace blob: bad magic")
-    version = int.from_bytes(mv[o + 4:o + 8], "little")
-    if version != TRACE_ENCODING_VERSION:
-        raise ValueError(
-            f"trace blob: version {version} != {TRACE_ENCODING_VERSION}"
-        )
-    n_traces = int.from_bytes(mv[o + 8:o + 16], "little")
-    o += 16
-    traces: List[MemoryTrace] = []
-    for _ in range(n_traces):
-        sm = int.from_bytes(mv[o:o + 8], "little", signed=True)
-        n_acc = int.from_bytes(mv[o + 8:o + 16], "little")
-        n_txn = int.from_bytes(mv[o + 16:o + 24], "little")
-        o += 24
-        if n_txn:
-            delta = np.frombuffer(buf, dtype=np.uint64, count=n_txn,
-                                  offset=o)
-            o += 8 * n_txn
-            line = np.cumsum(delta, dtype=np.uint64)
-            mask = np.frombuffer(buf, dtype=np.uint8, count=n_txn, offset=o)
-            o += n_txn + _pad8(n_txn)
-        else:
-            line = _EMPTY_U64
-            mask = _EMPTY_U8
-        if n_acc:
-            txn_count = np.frombuffer(buf, dtype=np.int64, count=n_acc,
-                                      offset=o)
-            o += 8 * n_acc
-            store = np.frombuffer(buf, dtype=np.bool_, count=n_acc,
-                                  offset=o)
-            o += n_acc + _pad8(n_acc)
-            role = np.frombuffer(buf, dtype=np.int16, count=n_acc, offset=o)
-            o += 2 * n_acc + _pad8(2 * n_acc)
-            txn_start = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(txn_count)]
-            )[:-1]
-        else:
-            txn_count = txn_start = _EMPTY_I64
-            store = np.empty(0, dtype=bool)
-            role = np.empty(0, dtype=np.int16)
-        traces.append(MemoryTrace.from_columns(
-            sm, line, mask, txn_count, txn_start, store, role))
-    return traces

@@ -35,8 +35,9 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..gpu.config import GPUConfig, scaled_config
-from ..gpu.machine import FIGURE6_TECHNIQUES, Machine
+from ..gpu.machine import Machine
 from ..gpu.replay import ENGINE_ENV_VAR, ENGINES
+from ..techniques import paper_techniques
 from ..workloads import make_workload, workload_names
 from .export import write_json_atomic
 from .runner import geomean
@@ -266,7 +267,7 @@ def measure_failpoint_overhead(
 
 def run_selfbench(
     workloads: Optional[Sequence[str]] = None,
-    techniques: Sequence[str] = FIGURE6_TECHNIQUES,
+    techniques: Optional[Sequence[str]] = None,
     scale: float = 0.25,
     iterations: Optional[int] = None,
     config: Optional[GPUConfig] = None,
@@ -284,10 +285,13 @@ def run_selfbench(
     :func:`~repro.harness.resultdb.import_bench_file`, so engine
     regressions are queryable next to the characterization sweeps; the
     import summary lands under the report's ``resultdb`` key.
+    ``techniques`` defaults to the paper's Figure 6 five.
     Returns the report dict that was written.
     """
     cfg = config or scaled_config()
     names = list(workloads) if workloads is not None else workload_names()
+    if techniques is None:
+        techniques = paper_techniques()
     # the env var would silently override the per-run engine choice
     saved_env = os.environ.pop(ENGINE_ENV_VAR, None)
     runs: List[Dict] = []

@@ -753,146 +753,3 @@ class ExperimentService:
 
         validate_manifest(manifest)
         write_json_atomic(manifest, path)
-
-
-# ----------------------------------------------------------------------
-# sharded L1 replay for the fused engine
-# ----------------------------------------------------------------------
-def _wave_shard_worker(conn, ns: int, assoc: int, cache_cap: int) -> None:
-    """Persistent worker owning the L1 state of one SM shard.
-
-    Receives ``(digest, stamp_base, cols_or_None)`` messages, runs the
-    fused engine's build/exec for its subset of the wave, and ships the
-    per-transaction (hits, residue) pair back.  ``cols`` is None when
-    the parent knows this worker already built the plan for ``digest``
-    (the parent mirrors this cache's FIFO eviction exactly, so the two
-    views never diverge).
-    """
-    import numpy as np
-
-    from ..gpu.replay import FusedEngine
-
-    tags = np.full((ns, assoc), -1, dtype=np.int64)
-    vals = np.zeros((ns, assoc), dtype=np.int64)
-    plans: Dict[bytes, object] = {}
-    try:
-        while True:
-            msg = conn.recv()
-            if msg is None:
-                break
-            dig, base, cols = msg
-            plan = plans.get(dig)
-            if plan is None:
-                skey, tag, req, store = cols
-                plan = FusedEngine._build_plan(
-                    skey, tag, req, store, ns, assoc, allocate_all=False)
-                plans[dig] = plan
-                if len(plans) > cache_cap:
-                    plans.pop(next(iter(plans)))
-            hits, res = FusedEngine._exec_plan(plan, tags, vals, base)
-            conn.send((hits, res))
-    except (EOFError, OSError):
-        pass
-    finally:
-        conn.close()
-
-
-class WaveShardPool:
-    """Shard the fused engine's L1 pass across worker processes.
-
-    L1 state is per-(SM, set), and the fused engine partitions each
-    wave's transaction stream by owning SM -- so the L1 pass of one
-    large wave parallelizes perfectly: each worker holds the state of
-    its SM shard for the pool's lifetime and replays only its subset.
-    The parent keeps the L2/DRAM walk (a single shared cache cannot be
-    split the same way) and the stats assembly.
-
-    Attach with :meth:`~repro.gpu.replay.FusedEngine.attach_shard_pool`
-    *before the first wave*; the partition is sticky, so serial and
-    sharded passes cannot be mixed within one engine lifetime.  Worth
-    it only for waves far beyond the benchmark sizes -- per-wave IPC
-    costs a few hundred microseconds per worker, so the pool is opt-in,
-    never a default.  Correctness does not depend on wave size: the
-    sharded pass is bit-identical at any scale
-    (``tests/test_replay_engines.py``).
-    """
-
-    def __init__(self, config, num_shards: Optional[int] = None):
-        import numpy as np
-
-        self._np = np
-        self.config = config
-        ns1 = config.num_sms * config.l1.num_sets
-        assoc = config.l1.assoc
-        self.num_shards = max(
-            1, min(num_shards or default_num_workers(), config.num_sms))
-        self._cache_cap = 64
-        ctx = _mp_context()
-        self._workers: List[tuple] = []
-        self._known: List[Dict[bytes, bool]] = []
-        for _ in range(self.num_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_wave_shard_worker,
-                args=(child_conn, ns1, assoc, self._cache_cap),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._workers.append((proc, parent_conn))
-            self._known.append({})
-
-    # ------------------------------------------------------------------
-    def run_l1(self, shards, dig: bytes, base: int, n: int):
-        """Run one wave's L1 pass; returns full-size (hits, residue).
-
-        ``shards`` is the engine's per-shard partition: a list of
-        ``(flat_indices, set_key, tag, req_mask, store)`` tuples, one
-        per worker.  Dispatch is fan-out/fan-in: every worker computes
-        its subset concurrently, then results scatter back into wave
-        order.
-        """
-        np = self._np
-        sent = []
-        for s, (idx_s, skey, tag, req, store) in enumerate(shards):
-            if not len(idx_s):
-                continue
-            known = self._known[s]
-            if dig in known:
-                cols = None
-            else:
-                known[dig] = True
-                if len(known) > self._cache_cap:
-                    known.pop(next(iter(known)))
-                cols = (skey, tag, req, store)
-            self._workers[s][1].send((dig, base, cols))
-            sent.append(s)
-        hits = np.empty(n, dtype=np.int64)
-        res = np.empty(n, dtype=np.int64)
-        for s in sent:
-            h_s, r_s = self._workers[s][1].recv()
-            idx_s = shards[s][0]
-            hits[idx_s] = h_s
-            res[idx_s] = r_s
-        return hits, res
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        for proc, conn in self._workers:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        for proc, _ in self._workers:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(timeout=5.0)
-        self._workers = []
-
-    def __enter__(self) -> "WaveShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -122,17 +122,34 @@ def test_unknown_replay_engine_config_exits_2_with_hint(capsys):
 
 def test_unknown_replay_engine_env_exits_2_with_hint(capsys, monkeypatch):
     # the env override goes through the same validation as --config
-    monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vectr")
+    monkeypatch.setenv("REPRO_REPLAY_ENGINE", "fusd")
     with pytest.raises(SystemExit) as excinfo:
         main(["list"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown replay engine 'vectr'" in err
-    assert "did you mean" in err and "vector" in err
+    assert "unknown replay engine 'fusd'" in err
+    assert "did you mean" in err and "fused" in err
 
 
 def test_valid_replay_engine_config_accepted(capsys):
     assert main(["list", "--config", "replay_engine=fused"]) == 0
+
+
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_removed_vector_engine_exits_2(source, capsys, monkeypatch):
+    # the retired engine name is an UnknownEngineError like any typo,
+    # not a silent fallback to the default engine
+    argv = ["list"]
+    if source == "config":
+        argv += ["--config", "replay_engine=vector"]
+    else:
+        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vector")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert ("unknown replay engine 'vector'; "
+            "known engines: reference, fused") in err
 
 
 def test_status_without_daemon_fails_cleanly(capsys):

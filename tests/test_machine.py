@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from repro import Machine
+from repro import Machine, techniques
 from repro.errors import LaunchError
-from repro.gpu.machine import FIGURE6_TECHNIQUES, TECHNIQUES
 from repro.memory.cuda_allocator import CudaHeapAllocator
 from repro.memory.mmu import MMUMode
 from repro.memory.shared_oa import SharedOAAllocator
@@ -77,8 +76,8 @@ def test_default_replay_memo_hook(machine_factory):
 
 
 def test_technique_lists_consistent():
-    assert set(FIGURE6_TECHNIQUES) <= set(TECHNIQUES)
-    assert set(ALL_TECHNIQUES) == set(TECHNIQUES)
+    assert set(techniques.paper_techniques()) <= set(techniques.available())
+    assert set(ALL_TECHNIQUES) == set(techniques.available())
 
 
 @pytest.mark.parametrize(

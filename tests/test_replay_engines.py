@@ -1,11 +1,11 @@
 """Cross-validation of the replay engines.
 
 The ReferenceEngine is the executable specification (the dict-based
-SectoredCache hierarchy); the VectorEngine and FusedEngine must be
-*bit-identical* on every counter, across dispatch strategies, workloads
-and random access streams.  The differential matrix below runs every
-registered technique against every Figure-6 workload under all three
-engines and compares whole KernelStats records, not checksums.
+SectoredCache hierarchy); the FusedEngine must be *bit-identical* to it
+on every counter, across dispatch strategies, workloads and random
+access streams.  The differential matrix below runs every registered
+technique against every workload under both engines and compares whole
+KernelStats records, not checksums.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from repro.gpu.replay import (
     ENGINES,
     FusedEngine,
     ReferenceEngine,
-    VectorEngine,
     make_engine,
     resolve_engine_name,
 )
@@ -33,26 +32,24 @@ from repro.gpu.trace import MemoryTrace, role_id
 from repro.techniques import available as all_techniques
 from repro.workloads import make_workload, workload_names
 
-FIG6_TECHNIQUES = ("cuda", "concord", "sharedoa", "coal", "typepointer")
-
 
 # ----------------------------------------------------------------------
 # engine selection
 # ----------------------------------------------------------------------
-def test_default_engine_is_vector():
-    assert GPUConfig().replay_engine == "vector"
+def test_default_engine_is_fused():
+    assert GPUConfig().replay_engine == "fused"
 
 
 def test_engines_registry_names():
-    assert ENGINES == ("reference", "vector", "fused")
+    assert ENGINES == ("reference", "fused")
 
 
 def test_resolve_engine_prefers_env(monkeypatch):
-    cfg = replace(small_config(), replay_engine="vector")
+    cfg = replace(small_config(), replay_engine="fused")
     monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
     assert resolve_engine_name(cfg) == "reference"
     monkeypatch.delenv(ENGINE_ENV_VAR)
-    assert resolve_engine_name(cfg) == "vector"
+    assert resolve_engine_name(cfg) == "fused"
 
 
 def test_resolve_engine_rejects_unknown(monkeypatch):
@@ -76,11 +73,12 @@ def test_make_engine_constructs_named_engines():
     cfg = small_config()
     hier = MemoryHierarchy(cfg)
     assert isinstance(make_engine("reference", cfg, hier), ReferenceEngine)
-    assert isinstance(make_engine("vector", cfg, hier), VectorEngine)
     assert isinstance(make_engine("fused", cfg, hier), FusedEngine)
     with pytest.raises(UnknownEngineError) as excinfo:
-        make_engine("vectr", cfg, hier)
-    assert "vector" in excinfo.value.hints
+        make_engine("fusd", cfg, hier)
+    assert "fused" in excinfo.value.hints
+    with pytest.raises(UnknownEngineError):
+        make_engine("vector", cfg, hier)  # retired, not an alias
     # UnknownEngineError subclasses LaunchError: existing callers that
     # catch the broad class keep working
     assert isinstance(excinfo.value, LaunchError)
@@ -94,8 +92,8 @@ def test_machine_respects_config_engine():
 
 
 # ----------------------------------------------------------------------
-# differential matrix: every technique x every Figure-6 workload x all
-# three engines, whole-KernelStats equality
+# differential matrix: every technique x every workload x both engines,
+# whole-KernelStats equality
 # ----------------------------------------------------------------------
 def _run(workload: str, technique: str, engine: str):
     cfg = replace(small_config(), replay_engine=engine)
@@ -108,17 +106,15 @@ def _run(workload: str, technique: str, engine: str):
 @pytest.mark.parametrize("workload", workload_names())
 def test_engines_bit_identical_on_workloads(workload, technique):
     ref_stats, ref_ck = _run(workload, technique, "reference")
-    vec_stats, vec_ck = _run(workload, technique, "vector")
     fus_stats, fus_ck = _run(workload, technique, "fused")
     # KernelStats is a dataclass: == covers every counter, including the
     # per-role dicts and the timing-model outputs derived from them
-    assert vec_stats == ref_stats
     assert fus_stats == ref_stats
-    assert vec_ck == ref_ck
     assert fus_ck == ref_ck
 
 
-@pytest.mark.parametrize("engine", ["vector", "fused"])
+@pytest.mark.parametrize(
+    "engine", [e for e in ENGINES if e != "reference"])
 def test_engines_bit_identical_under_object_churn(engine):
     # GOL retypes objects between launches: allocator reuse stresses
     # cache-state carry-over across waves and launches
@@ -127,13 +123,12 @@ def test_engines_bit_identical_under_object_churn(engine):
     assert eng_stats == ref_stats
 
 
-# ----------------------------------------------------------------------
-# fused-engine plan cache: repeated waves take the memoized path
+# repeated waves: fixpoint loops replay the same traffic against
+# evolved cache state
 # ----------------------------------------------------------------------
 def _captured_waves(workload: str, technique: str, scale: float = 0.1):
-    """Run a workload under the vector engine, capturing its raw waves."""
-    cfg = replace(small_config(), replay_engine="vector")
-    m = Machine(technique, config=cfg)
+    """Run a workload, capturing its raw waves."""
+    m = Machine(technique, config=small_config())
     waves = []
     inner = m.engine.replay_wave
 
@@ -147,78 +142,24 @@ def _captured_waves(workload: str, technique: str, scale: float = 0.1):
     return waves
 
 
-def test_fused_plan_cache_hits_stay_bit_identical():
+def test_fused_repeated_stream_bit_identical():
     cfg = small_config()
     waves = _captured_waves("BFS-vE", "cuda")
-    # replay the stream twice through ONE engine: the second pass runs
-    # entirely out of the plan cache, against evolved cache state
-    vec, fus = VectorEngine(cfg), FusedEngine(cfg)
-    vs, fs = KernelStats(), KernelStats()
+    # replay the stream twice through ONE engine each: the second pass
+    # meets the same traffic against the state the first pass left
+    ref, fus = ReferenceEngine(MemoryHierarchy(cfg)), FusedEngine(cfg)
+    rs, fs = KernelStats(), KernelStats()
     for _ in range(2):
         for traces in waves:
-            vec.replay_wave(traces, vs)
+            ref.replay_wave(traces, rs)
             fus.replay_wave(traces, fs)
-    assert len(fus._plans) > 0
-    assert fs == vs
-    assert fus.dram_row_hits == vec.dram_row_hits
-    assert fus._open_rows == vec._open_rows
-
-
-def test_fused_plan_cache_respects_byte_budget():
-    cfg = small_config()
-    waves = _captured_waves("TRAF", "cuda")
-    fus = FusedEngine(cfg)
-    fus._plans.budget = 1  # evict everything but the newest plan
-    stats = KernelStats()
-    for traces in waves:
-        fus.replay_wave(traces, stats)
-    assert len(fus._plans) <= 1
-    vec = VectorEngine(cfg)
-    vs = KernelStats()
-    for traces in waves:
-        vec.replay_wave(traces, vs)
-    assert stats == vs  # eviction affects speed only, never counters
+    assert fs == rs
+    assert fus.dram_row_hits == ref.hierarchy.dram_row_hits
+    assert fus._open_rows == ref.hierarchy._open_rows
 
 
 # ----------------------------------------------------------------------
-# sharded L1 replay: the WaveShardPool partition is bit-identical
-# ----------------------------------------------------------------------
-def test_fused_shard_pool_bit_identical():
-    from repro.harness.service import WaveShardPool
-
-    cfg = small_config()
-    waves = _captured_waves("BFS-vE", "typepointer")
-    serial = FusedEngine(cfg)
-    ser_stats = KernelStats()
-    for traces in waves:
-        serial.replay_wave(traces, ser_stats)
-
-    sharded = FusedEngine(cfg)
-    shd_stats = KernelStats()
-    with WaveShardPool(cfg, num_shards=2) as pool:
-        sharded.attach_shard_pool(pool)
-        for traces in waves:
-            sharded.replay_wave(traces, shd_stats)
-    assert shd_stats == ser_stats
-    assert sharded.dram_row_hits == serial.dram_row_hits
-    assert sharded._open_rows == serial._open_rows
-
-
-def test_fused_shard_pool_must_attach_before_first_wave():
-    cfg = small_config()
-    waves = _captured_waves("TRAF", "cuda")
-    engine = FusedEngine(cfg)
-    engine.replay_wave(waves[0], KernelStats())
-
-    class _Pool:
-        num_shards = 2
-
-    with pytest.raises(LaunchError):
-        engine.attach_shard_pool(_Pool())
-
-
-# ----------------------------------------------------------------------
-# property test: random access streams, all three engines in lockstep
+# property test: random access streams, both engines in lockstep
 # ----------------------------------------------------------------------
 #: tiny geometry so evictions and row conflicts happen within a handful
 #: of accesses (L1: 8 lines in 4 sets; L2: 32 lines in 16 sets)
@@ -255,22 +196,16 @@ def _build_trace(sm: int, accs) -> MemoryTrace:
 @settings(max_examples=60, deadline=None)
 def test_random_streams_bit_identical(waves):
     ref = ReferenceEngine(MemoryHierarchy(_PROP_CFG))
-    vec = VectorEngine(_PROP_CFG)
     fus = FusedEngine(_PROP_CFG)
-    ref_stats, vec_stats, fus_stats = (KernelStats(), KernelStats(),
-                                       KernelStats())
+    ref_stats, fus_stats = KernelStats(), KernelStats()
     for wave in waves:
         traces = [_build_trace(w % _PROP_CFG.num_sms, accs)
                   for w, accs in enumerate(wave)]
         # engines replay the same frozen traces; state persists across
         # waves in both (caches are not flushed between kernels)
         ref.replay_wave(traces, ref_stats)
-        vec.replay_wave(traces, vec_stats)
         fus.replay_wave(traces, fus_stats)
-    assert vec_stats == ref_stats
     assert fus_stats == ref_stats
     # row-buffer state must agree too, not just the counters so far
-    assert vec.dram_row_hits == ref.hierarchy.dram_row_hits
-    assert vec._open_rows == ref.hierarchy._open_rows
     assert fus.dram_row_hits == ref.hierarchy.dram_row_hits
     assert fus._open_rows == ref.hierarchy._open_rows

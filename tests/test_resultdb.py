@@ -219,8 +219,7 @@ def test_selfbench_records_into_db(tmp_path):
     assert report["resultdb"]["points"] == len(report["runs"])
     with ResultDB(dbp) as db:
         rows = db.query_rows(sweep="bench:pipeline")
-        assert {r["engine"] for r in rows} == {"reference", "vector",
-                                               "fused"}
+        assert {r["engine"] for r in rows} == {"reference", "fused"}
         assert all(r["workload"] == "TRAF" for r in rows)
 
 

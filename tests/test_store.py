@@ -15,12 +15,10 @@ import pytest
 from repro import obs
 from repro.gpu.config import small_config
 from repro.gpu.machine import Machine
-from repro.gpu.trace import MemoryTrace, TRACE_ENCODING_VERSION, role_id
 from repro.harness.store import (
     STORE_VERSION,
     PersistentReplayMemo,
     ReplayMemoStore,
-    TraceStore,
     _FileLock,
     _reset_bucket_warnings,
     bucket_name,
@@ -347,160 +345,3 @@ class TestPersistentReplayMemo:
         assert isinstance(
             PersistentReplayMemo(store, "b"), ReplayMemo
         )
-
-
-# ----------------------------------------------------------------------
-# TraceStore: the mapped, append-only wave store
-# ----------------------------------------------------------------------
-@pytest.fixture
-def tstore(tmp_path):
-    with TraceStore(tmp_path / "traces") as s:
-        yield s
-
-
-def _wave(*addr_lists, sm=0):
-    t = MemoryTrace(sm=sm)
-    for addrs in addr_lists:
-        t.append_access(np.asarray(addrs, dtype=np.uint64), 1, False,
-                        role_id("vtable"))
-    return [t.finalize()]
-
-
-def _assert_wave_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.sm == w.sm
-        for col in ("line", "mask", "txn_count", "txn_start", "store",
-                    "role"):
-            assert np.array_equal(getattr(g, col), getattr(w, col)), col
-
-
-class TestTraceStore:
-    def test_cold_bucket(self, tstore):
-        assert tstore.size("b") == 0
-        assert not tstore.has_wave("b", b"k")
-        assert tstore.get_wave("b", b"k") is None
-
-    def test_put_get_round_trip(self, tstore):
-        wave = _wave([0, 128, 4096], [256], sm=2)
-        assert tstore.put_wave("b", b"k1", wave)
-        assert tstore.has_wave("b", b"k1")
-        assert tstore.size("b") == 1
-        _assert_wave_equal(tstore.get_wave("b", b"k1"), wave)
-
-    def test_duplicate_key_appends_nothing(self, tstore):
-        wave = _wave([0, 128])
-        assert tstore.put_wave("b", b"k", wave)
-        nbytes = os.path.getsize(tstore.data_path("b"))
-        assert not tstore.put_wave("b", b"k", _wave([512, 640]))
-        assert os.path.getsize(tstore.data_path("b")) == nbytes
-        # first write wins, mirroring the memo store's merge semantics
-        _assert_wave_equal(tstore.get_wave("b", b"k"), wave)
-
-    def test_mapping_refreshes_after_append(self, tstore):
-        w1, w2 = _wave([0]), _wave([128, 256], sm=1)
-        tstore.put_wave("b", b"k1", w1)
-        _assert_wave_equal(tstore.get_wave("b", b"k1"), w1)  # maps now
-        tstore.put_wave("b", b"k2", w2)  # grows past the mapped view
-        _assert_wave_equal(tstore.get_wave("b", b"k2"), w2)
-        _assert_wave_equal(tstore.get_wave("b", b"k1"), w1)
-
-    def test_second_reader_sees_appends(self, tstore, tmp_path):
-        with TraceStore(tmp_path / "traces") as reader:
-            tstore.put_wave("b", b"k1", _wave([0]))
-            # the reader's cached (empty) index refreshes on miss
-            assert reader.has_wave("b", b"k1")
-            w2 = _wave([128], sm=3)
-            tstore.put_wave("b", b"k2", w2)
-            _assert_wave_equal(reader.get_wave("b", b"k2"), w2)
-
-    def test_buckets_are_disjoint(self, tstore):
-        tstore.put_wave("a", b"k", _wave([0]))
-        assert not tstore.has_wave("b", b"k")
-        assert tstore.size("b") == 0
-
-    def test_corrupt_index_treated_as_empty(self, tstore, fresh_obs):
-        tstore.put_wave("b", b"k", _wave([0]))
-        tstore.index_path("b").write_bytes(b"\x80\x05 not a pickle")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            assert tstore.size("b") == 0
-        assert fresh_obs.counters["store.bucket_corrupt"] >= 1
-        # writing through the corrupt index rebuilds it
-        with pytest.warns(RuntimeWarning):
-            assert tstore.put_wave("b", b"k2", _wave([128]))
-        assert tstore.has_wave("b", b"k2")
-
-    def test_version_mismatch_treated_as_empty(self, tstore):
-        tstore.put_wave("b", b"k", _wave([0]))
-        payload = pickle.loads(tstore.index_path("b").read_bytes())
-        payload["version"] = TRACE_ENCODING_VERSION + 1
-        tstore.index_path("b").write_bytes(pickle.dumps(payload))
-        tstore._indexes.clear()
-        assert tstore.size("b") == 0
-        assert tstore.get_wave("b", b"k") is None
-
-
-# ----------------------------------------------------------------------
-# Machine wiring: memo hits spill waves to the store; the next miss
-# drains them back through the engine from the mapped bucket
-# ----------------------------------------------------------------------
-class TestMachineTraceStore:
-    def _run(self, memo=None, tstore=None):
-        m = Machine("cuda", config=small_config())
-        if memo is not None:
-            m.set_replay_memo(memo)
-        if tstore is not None:
-            m.set_trace_store(tstore, "waves")
-        arr = m.array_from(np.arange(128, dtype=np.uint64), "u64")
-
-        def bump(ctx):
-            arr.st(ctx, ctx.tid, arr.ld(ctx, ctx.tid) + np.uint64(1))
-
-        def reverse_read(ctx):
-            arr.ld(ctx, 127 - ctx.tid)
-
-        # two memoizable launches, then a diverging one: with a warm
-        # memo the first two hit and the third misses, forcing the
-        # pending-wave drain
-        m.launch(bump, 128)
-        m.launch(bump, 128)
-        m.launch(reverse_read, 128)
-        return m.run_stats
-
-    def test_drain_from_store_is_bit_identical(self, store, tmp_path):
-        base = self._run()  # no memo at all: ground truth
-
-        warm = memo_for(store, small_config())
-        # warm only the first two launches so the third misses
-        m = Machine("cuda", config=small_config())
-        m.set_replay_memo(warm)
-        arr = m.array_from(np.arange(128, dtype=np.uint64), "u64")
-
-        def bump(ctx):
-            arr.st(ctx, ctx.tid, arr.ld(ctx, ctx.tid) + np.uint64(1))
-
-        m.launch(bump, 128)
-        m.launch(bump, 128)
-        warm.flush()
-
-        with TraceStore(tmp_path / "traces") as ts:
-            memo = memo_for(store, small_config())
-            stats = self._run(memo, ts)
-            assert memo.hits > 0 and memo.misses > 0
-            assert ts.size("waves") == memo.hits
-        assert stats == base
-
-        # without a store the drain replays pinned raw traces; both
-        # paths must land on the same counters
-        memo2 = memo_for(store, small_config())
-        assert self._run(memo2) == base
-
-    def test_store_must_attach_before_first_launch(self, store, tmp_path):
-        m = Machine("cuda", config=small_config())
-        arr = m.array_from(np.arange(32, dtype=np.uint64), "u64")
-        m.launch(lambda ctx: arr.ld(ctx, ctx.tid), 32)
-        with TraceStore(tmp_path / "traces") as ts:
-            from repro.errors import LaunchError
-
-            with pytest.raises(LaunchError):
-                m.set_trace_store(ts, "waves")

@@ -195,3 +195,32 @@ def test_stale_break_loser_eventually_acquires(tmp_path, monkeypatch):
     assert sorted(acquired) == list(range(n))
     assert obs.registry().counters.get("store.stale_locks_broken") == 1
     assert not lock_path.exists()                 # released afterwards
+
+
+def test_stale_break_does_not_steal_a_fresh_lock(tmp_path, monkeypatch):
+    # the stat -> rename window: this waiter judged the old lock stale,
+    # but before its rename another waiter broke it and took the lock
+    # afresh; the rename must not leave the fresh lock broken
+    import os
+
+    lock_path = tmp_path / "b.lock"
+    lock_path.write_text("held by a dead process\n")
+    old = time.time() - 3600
+    os.utime(lock_path, (old, old))
+
+    real_rename = os.rename
+    raced = []
+
+    def rename_after_rival(src, dst):
+        if not raced:
+            raced.append(True)
+            real_rename(src, tmp_path / "rival-tomb")   # rival breaks
+            lock_path.write_text("rival holds the lock\n")  # and acquires
+        return real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename_after_rival)
+    assert not _FileLock(lock_path, stale_s=300.0)._break_stale()
+    assert lock_path.read_text() == "rival holds the lock\n"
+    assert obs.registry().counters.get("store.stale_locks_broken") is None
+    assert [p.name for p in tmp_path.iterdir()
+            if ".stale-" in p.name] == []

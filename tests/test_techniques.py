@@ -154,11 +154,15 @@ def test_machine_unknown_technique_error():
         Machine("typepointre", config=small_config())
 
 
-def test_deprecated_tuples_mirror_registry():
-    from repro.gpu.machine import FIGURE6_TECHNIQUES, TECHNIQUES
+def test_deprecated_tuples_are_gone():
+    # the registry queries are the only technique lists
+    import repro
+    from repro import gpu
+    from repro.gpu import machine
 
-    assert tuple(TECHNIQUES) == techniques.available()
-    assert tuple(FIGURE6_TECHNIQUES) == techniques.paper_techniques()
+    for mod in (repro, gpu, machine):
+        assert not hasattr(mod, "TECHNIQUES")
+        assert not hasattr(mod, "FIGURE6_TECHNIQUES")
 
 
 def test_spec_mmu_modes():

@@ -4,7 +4,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.coalescing import coalesce, coalesce_arrays
@@ -12,9 +11,6 @@ from repro.gpu.stats import KernelStats
 from repro.gpu.trace import (
     MemoryTrace,
     POPCOUNT4,
-    TRACE_ENCODING_VERSION,
-    decode_wave,
-    encode_wave,
     flatten_wave,
     role_id,
     role_name,
@@ -187,95 +183,3 @@ def test_role_interning_round_trips():
     assert rid > 0
     assert role_id("some-role") == rid
     assert role_name(rid) == "some-role"
-
-
-# ----------------------------------------------------------------------
-# delta-encoded wave codec: encode -> decode is the identity on every
-# column (dtype, shape, values), including empty and one-access traces
-# ----------------------------------------------------------------------
-_COLUMNS = ("line", "mask", "txn_count", "txn_start", "store", "role")
-
-
-def _assert_traces_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.sm == w.sm
-        assert g.n_accesses == w.n_accesses
-        assert g.n_txns == w.n_txns
-        for col in _COLUMNS:
-            ga, wa = getattr(g, col), getattr(w, col)
-            assert ga.dtype == wa.dtype, col
-            assert ga.shape == wa.shape, col
-            assert np.array_equal(ga, wa), col
-
-
-def _wave_from(warps, sms):
-    traces = []
-    for w, accs in enumerate(warps):
-        t = MemoryTrace(sm=w % sms)
-        for addrs, width, store, role in accs:
-            t.append_access(np.asarray(addrs, dtype=np.uint64), width,
-                            store, role_id(role))
-        traces.append(t.finalize())
-    return traces
-
-
-@given(
-    # empty inner lists produce finalized traces with zero accesses
-    warps=st.lists(st.lists(st.tuples(addr_lists, widths, st.booleans(),
-                                      st.sampled_from([None, "vtable"])),
-                            min_size=0, max_size=8),
-                   min_size=0, max_size=4),
-    sms=st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=60, deadline=None)
-def test_wave_codec_round_trips(warps, sms):
-    traces = _wave_from(warps, sms)
-    got = decode_wave(encode_wave(traces))
-    _assert_traces_equal(got, traces)
-
-
-def test_wave_codec_round_trips_empty_wave():
-    assert decode_wave(encode_wave([])) == []
-
-
-def test_wave_codec_round_trips_empty_and_single_access_traces():
-    empty = MemoryTrace(sm=3).finalize()
-    single = MemoryTrace(sm=1)
-    single.append_access(np.array([1 << 40], dtype=np.uint64), 1, True,
-                         role_id("vtable"))
-    wave = [empty, single.finalize()]
-    got = decode_wave(encode_wave(wave))
-    _assert_traces_equal(got, wave)
-
-
-def test_wave_codec_line_deltas_survive_non_monotone_addresses():
-    # descending addresses make the uint64 deltas wrap; the cumsum on
-    # decode must wrap back to the exact original values
-    t = MemoryTrace(sm=0)
-    for addr in (1 << 50, 128, 1 << 63, 0):
-        t.append_access(np.array([addr], dtype=np.uint64), 1, False, 0)
-    wave = [t.finalize()]
-    got = decode_wave(encode_wave(wave))
-    _assert_traces_equal(got, wave)
-
-
-def test_wave_codec_decodes_at_offset():
-    # buckets concatenate encoded waves: decoding must work mid-buffer
-    w1 = _wave_from([[((0, 128), 1, False, None)]], 1)
-    w2 = _wave_from([[((256,), 1, True, "vtable")]], 2)
-    b1, b2 = encode_wave(w1), encode_wave(w2)
-    buf = b1 + b2
-    _assert_traces_equal(decode_wave(buf, 0), w1)
-    _assert_traces_equal(decode_wave(buf, len(b1)), w2)
-
-
-def test_wave_codec_rejects_bad_magic_and_version():
-    buf = bytearray(encode_wave([MemoryTrace(sm=0).finalize()]))
-    bad_magic = b"XXXX" + bytes(buf[4:])
-    with pytest.raises(ValueError, match="magic"):
-        decode_wave(bad_magic)
-    bad_version = bytes(buf[:4]) + (TRACE_ENCODING_VERSION + 1).to_bytes(
-        4, "little") + bytes(buf[8:])
-    with pytest.raises(ValueError, match="version"):
-        decode_wave(bad_version)
