@@ -3,7 +3,7 @@
 Production code instruments its recovery seams with named checkpoints::
 
     from .. import faults
-    faults.failpoint("store.lock.acquire")
+    faults.failpoint("store.bucket.flush")
     raw = faults.mangle("store.bucket.read", raw)
 
 and tests / the chaos harness arm a seed-generated

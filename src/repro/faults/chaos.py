@@ -14,9 +14,9 @@ Invariants asserted per seed (any violation fails the run):
   sequences;
 * **correctness** -- every submission eventually succeeds and its
   rendered result is bit-identical to the fault-free baseline run;
-* **store integrity** -- after the run the store directory holds no
-  orphaned ``.tmp`` file, every ``.lock`` is immediately acquirable,
-  and every bucket loads without tripping the corruption counters;
+* **store integrity** -- after the run the store's SQLite file passes
+  ``PRAGMA integrity_check`` and every bucket loads without tripping
+  the corruption counters;
 * **clean drain** -- the daemon exits 0 after a drain, even when the
   drain itself was faulted;
 * **accounting** -- every *erroring* fault that actually fired
@@ -165,27 +165,28 @@ def _submit_with_retry(client, result: SeedResult, experiment: str,
 
 
 def _check_store(tmp: Path, result: SeedResult) -> None:
-    """Post-run store integrity: no torn writes, no held locks, every
-    bucket loadable without corruption."""
-    from ..harness.store import ReplayMemoStore, _FileLock
+    """Post-run store integrity: SQLite's own check passes, and every
+    row of every bucket decodes at the current version."""
+    import sqlite3
+    from contextlib import closing
 
-    store_dir = tmp / "store"
-    if not store_dir.is_dir():
+    from ..harness.resultdb import connect
+    from ..harness.store import ReplayMemoStore
+
+    store = ReplayMemoStore(tmp / "store")
+    if not store.path.exists():
         return
-    for leftover in store_dir.glob("*.tmp*"):
-        result.violations.append(f"torn write left {leftover.name}")
-    for lock in store_dir.glob("*.lock"):
-        try:
-            with _FileLock(lock, timeout_s=2.0):
-                pass
-        except TimeoutError:
-            result.violations.append(f"store left locked: {lock.name}")
-    probe = obs.Registry()
+    probe = obs.Registry(enabled=True)
     prev = obs.set_registry(probe)
     try:
-        store = ReplayMemoStore(store_dir)
+        with closing(connect(store.path)) as conn:
+            status = conn.execute("PRAGMA integrity_check").fetchone()[0]
+        if status != "ok":
+            result.violations.append(f"store integrity_check: {status}")
         for bucket in store.buckets():
             store.load_bucket(bucket)
+    except sqlite3.Error as exc:
+        result.violations.append(f"store unreadable after run ({exc!r})")
     finally:
         obs.set_registry(prev)
     for counter in ("store.bucket_corrupt", "store.bucket_version_mismatch"):

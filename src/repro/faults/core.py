@@ -5,7 +5,7 @@ the production code::
 
     from .. import faults
     ...
-    faults.failpoint("store.lock.acquire")          # control point
+    faults.failpoint("store.bucket.flush")          # control point
     raw = faults.mangle("store.bucket.read", raw)   # data point
 
 Disabled (no schedule armed -- the normal state), both calls are a
@@ -194,8 +194,8 @@ def corrupt_bytes(data: bytes, seed: int) -> bytes:
     """Deterministically flip a handful of bytes (same seed, same
     corruption -- schedules replay bit-identically).
 
-    The first byte is always flipped: a pickle/frame header never
-    survives, so a corrupted payload reliably *fails to parse* and
+    The first byte is always flipped: a JSON document or frame header
+    never survives, so a corrupted payload reliably *fails to parse* and
     exercises the recovery path -- it can never parse cleanly into
     silently different data.
     """

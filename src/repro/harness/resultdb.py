@@ -111,9 +111,30 @@ class ResultDBError(RuntimeError):
     """The database file is unusable (wrong version, bad payload)."""
 
 
+#: seconds a connection waits on another process's write lock
+BUSY_TIMEOUT_S = 30.0
+
+
 def default_db_path() -> str:
     """The database the CLI and sweep driver use by default."""
     return os.environ.get(DB_ENV_VAR, DEFAULT_DB_PATH)
+
+
+def connect(path: Any) -> sqlite3.Connection:
+    """Open a SQLite file the way every on-disk store here does.
+
+    WAL keeps readers off the writer's lock, ``synchronous=NORMAL``
+    makes a commit durable at checkpoint rather than fsync-per-commit,
+    and concurrent writers queue on SQLite's busy timeout.
+    """
+    conn = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_S)
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+    except sqlite3.Error:                 # e.g. not a database
+        conn.close()
+        raise
+    return conn
 
 
 class ResultDB:
@@ -126,10 +147,8 @@ class ResultDB:
     def __init__(self, path: Any = None):
         self.path = Path(path if path is not None else default_db_path())
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path))
+        self._conn = connect(self.path)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._init_schema()
 
     # ------------------------------------------------------------------

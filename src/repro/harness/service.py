@@ -290,7 +290,7 @@ def run_shards(
         # KeyboardInterrupt / SIGTERM-raised SystemExit (or anything
         # else fatal) in the parent: terminate and join every live
         # shard process before re-raising, so an interrupted run can't
-        # orphan workers still holding replay-store locks.
+        # orphan workers still writing to the replay store.
         for task in running.values():
             try:
                 task.proc.terminate()

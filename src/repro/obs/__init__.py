@@ -11,7 +11,7 @@ process-local :class:`Registry`:
   the run is, and merging registries across worker processes is a
   recursive add.
 * **counters** are named monotonic integers (``machine.memo_hits``,
-  ``store.bucket_corrupt``, ...).
+  ``store.bucket_corrupt``, ``store.bucket_version_mismatch``, ...).
 
 The whole layer is built to be cheap enough to leave on: counter bumps
 are one dict update, spans two ``perf_counter`` calls; ``python -m

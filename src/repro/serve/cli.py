@@ -338,7 +338,7 @@ def _cmd_cluster(argv: List[str]) -> int:
     parser.add_argument("--timeout", type=_positive_float, default=None,
                         help="per-shard timeout inside each worker")
     parser.add_argument("--store-dir", default=None,
-                        help="shared replay store directory (file-locked; "
+                        help="shared replay store directory (one SQLite file; "
                              "all workers merge into it)")
     parser.add_argument("--no-store", action="store_true",
                         help="disable the persistent replay store")

@@ -5,7 +5,7 @@ serve`` daemon into production shape: one asyncio front router listens
 on the public endpoint and consistent-hashes every submit's canonical
 ``job_key`` onto a ring of supervised daemon *workers* (each its own
 ``python -m repro serve`` process on a private Unix socket, all
-sharing the persistent replay store -- the store is file-locked, so
+sharing the persistent replay store -- the store is one SQLite file, so
 concurrent workers merge safely).  Because identical submissions hash
 to the same worker, the per-worker dedup-join and LRU result cache
 keep collapsing duplicates exactly as in the single-daemon case; the

@@ -1,8 +1,8 @@
 """Tests for the fault-injection layer (repro.faults)."""
 from __future__ import annotations
 
+import json
 import os
-import pickle
 
 import pytest
 
@@ -23,19 +23,26 @@ from repro.faults import core
 # registry + checkpoints
 # ----------------------------------------------------------------------
 def test_catalog_covers_every_layer():
+    # each layer declares its failpoints on import
+    import repro.harness.service  # noqa: F401
+    import repro.harness.store  # noqa: F401
+    import repro.serve.server  # noqa: F401
+
     declared = faults.declared()
-    for name in ("store.lock.acquire", "store.bucket.read",
-                 "store.bucket.flush", "store.bucket.replace",
+    for name in ("store.bucket.read", "store.bucket.flush",
                  "service.shard.spawn", "service.shard.result",
                  "service.shard.body", "serve.frame.read",
                  "serve.frame.write", "serve.admit", "serve.drain"):
         assert name in declared, name
         assert all(a in faults.ACTIONS for a in declared[name])
+    # seams the SQLite store no longer has
+    assert "store.lock.acquire" not in declared
+    assert "store.bucket.replace" not in declared
 
 
 def test_failpoint_is_noop_when_disarmed():
     assert faults.active() is None
-    faults.failpoint("store.lock.acquire")          # must not raise
+    faults.failpoint("store.bucket.flush")          # must not raise
     assert faults.mangle("store.bucket.read", b"xyz") == b"xyz"
 
 
@@ -92,10 +99,10 @@ def test_corrupt_bytes_never_identity():
     assert faults.corrupt_bytes(b"", 1) == b"\xff"
     data = os.urandom(64)
     assert faults.corrupt_bytes(data, 7) != data
-    # and actually breaks a pickle
-    blob = pickle.dumps({"k": 1})
-    with pytest.raises(Exception):
-        pickle.loads(faults.corrupt_bytes(blob, 3))
+    # and actually breaks a JSON document
+    blob = json.dumps({"k": 1}).encode()
+    with pytest.raises(ValueError):
+        json.loads(faults.corrupt_bytes(blob, 3))
 
 
 def test_disconnect_is_a_connection_reset():

@@ -1,12 +1,10 @@
-"""The persistent replay store: durability, locking, versioning."""
+"""The persistent replay store: durability, concurrency, versioning."""
 from __future__ import annotations
 
 import multiprocessing
 import os
 import pickle
-import sys
-import threading
-import time
+import sqlite3
 import warnings
 
 import numpy as np
@@ -15,11 +13,11 @@ import pytest
 from repro import obs
 from repro.gpu.config import small_config
 from repro.gpu.machine import Machine
+from repro.gpu.stats import KernelStats
 from repro.harness.store import (
     STORE_VERSION,
     PersistentReplayMemo,
     ReplayMemoStore,
-    _FileLock,
     _reset_bucket_warnings,
     bucket_name,
     default_store_dir,
@@ -30,6 +28,29 @@ from repro.harness.store import (
 @pytest.fixture
 def store(tmp_path):
     return ReplayMemoStore(tmp_path / "store")
+
+
+def _delta(n, **roles) -> KernelStats:
+    stats = KernelStats(l1_accesses=n, l1_hits=n // 2, dram_row_misses=1)
+    stats.role_levels = {role: list(levels) for role, levels in roles.items()}
+    return stats
+
+
+def _db(store) -> sqlite3.Connection:
+    """A raw connection to the store's file, for tampering with it."""
+    return sqlite3.connect(str(store.root / "memo.sqlite"))
+
+
+def _set_version(store, version) -> None:
+    with _db(store) as conn:
+        conn.execute("UPDATE meta SET value = ? WHERE key = 'version'",
+                     (str(version),))
+
+
+def _insert_raw(store, bucket, key, stats) -> None:
+    with _db(store) as conn:
+        conn.execute("INSERT INTO memo VALUES (?, ?, ?)",
+                     (bucket, key, stats))
 
 
 def test_bucket_name_is_engine_and_config_scoped():
@@ -56,52 +77,71 @@ def test_default_store_dir_env_override(monkeypatch):
 
 def test_cold_bucket_is_empty(store):
     assert store.load_bucket("b") == {}
-    assert store.size("b") == 0
     assert not store.is_warm()
     assert store.buckets() == []
+    assert not store.root.exists()  # reading never creates the store
 
 
 def test_merge_and_reload_roundtrip(store):
-    entries = {b"k1": ("stats1", 3), b"k2": ("stats2", 4)}
+    entries = {b"k1": _delta(3, vtable=[1, 2, 0]), b"k2": _delta(4)}
     assert store.merge_bucket("b", entries) == 2
     assert store.load_bucket("b") == entries
     assert store.is_warm()
     assert store.buckets() == ["b"]
     # a second writer's fresh keys merge in; existing keys survive
-    assert store.merge_bucket("b", {b"k2": ("other", 0), b"k3": ("s3", 5)}) == 3
+    assert store.merge_bucket("b", {b"k2": _delta(9), b"k3": _delta(5)}) == 1
     merged = store.load_bucket("b")
-    assert merged[b"k2"] == ("stats2", 4)
-    assert merged[b"k3"] == ("s3", 5)
+    assert merged[b"k2"] == _delta(4)
+    assert merged[b"k3"] == _delta(5)
+    assert store.load_bucket("other") == {}
+
+
+def test_value_holds_only_the_replay_delta(store):
+    """A stored value keeps the counters a replay engine sets; the
+    rest of KernelStats comes back at its defaults."""
+    stats = _delta(7, alloc=[1, 0, 3])
+    stats.thread_instrs = 99                      # not a replay counter
+    store.merge_bucket("b", {b"k": stats})
+    back = store.load_bucket("b")[b"k"]
+    assert back.thread_instrs == 0
+    back.thread_instrs = 99
+    assert back == stats
 
 
 def test_version_mismatch_invalidates(store):
-    store.merge_bucket("b", {b"k": 1})
-    path = store.bucket_path("b")
-    payload = pickle.loads(path.read_bytes())
-    payload["version"] = STORE_VERSION + 1
-    path.write_bytes(pickle.dumps(payload))
+    store.merge_bucket("b", {b"k": _delta(1)})
+    _set_version(store, STORE_VERSION + 1)
     # a stale version is treated as cold, not trusted
     assert store.load_bucket("b") == {}
-    # and writing through it rewrites the bucket at the current version
-    assert store.merge_bucket("b", {b"k2": 2}) == 1
-    assert store.load_bucket("b") == {b"k2": 2}
+    assert not store.is_warm()
+    # and writing through it recreates the store at the current version
+    assert store.merge_bucket("b", {b"k2": _delta(2)}) == 1
+    assert store.load_bucket("b") == {b"k2": _delta(2)}
 
 
 def test_wrong_schema_invalidates(store):
-    path = store.bucket_path("b")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(pickle.dumps({"schema": "someone-elses",
-                                   "version": STORE_VERSION,
-                                   "entries": {b"k": 1}}))
+    store.root.mkdir(parents=True)
+    with _db(store) as conn:
+        conn.execute("CREATE TABLE memo (x INTEGER, y INTEGER)")
+        conn.execute("INSERT INTO memo VALUES (1, 2)")
     assert store.load_bucket("b") == {}
+    assert store.merge_bucket("b", {b"k": _delta(1)}) == 1
+    assert store.load_bucket("b") == {b"k": _delta(1)}
 
 
 def test_corrupt_file_treated_as_empty(store):
-    path = store.bucket_path("b")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"\x80\x05 this is not a pickle")
-    assert store.load_bucket("b") == {}
-    assert store.merge_bucket("b", {b"k": 1}) == 1
+    store.root.mkdir(parents=True)
+    junk = b"this is not a database" * 64
+    (store.root / "memo.sqlite").write_bytes(junk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert store.load_bucket("b") == {}
+        assert not store.is_warm()
+        # the next merge moves the bad file aside and starts afresh
+        assert store.merge_bucket("b", {b"k": _delta(1)}) == 1
+    assert store.load_bucket("b") == {b"k": _delta(1)}
+    assert store.is_warm()
+    assert (store.root / "memo.sqlite.corrupt").read_bytes() == junk
 
 
 @pytest.fixture
@@ -117,25 +157,77 @@ def fresh_obs():
 
 
 def test_corrupt_bucket_warns_once_and_counts(store, fresh_obs):
-    path = store.bucket_path("b")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"\x80\x05 this is not a pickle")
-    with pytest.warns(RuntimeWarning, match="b.pkl"):
-        assert store.load_bucket("b") == {}
+    store.merge_bucket("b", {b"good": _delta(1)})
+    _insert_raw(store, "b", b"bad", '{"l1_accesses": "many"}')
+    with pytest.warns(RuntimeWarning, match="'b'"):
+        assert store.load_bucket("b") == {b"good": _delta(1)}
     assert fresh_obs.counters["store.bucket_corrupt"] == 1
     # one-shot per bucket: the second read counts but stays quiet
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert store.load_bucket("b") == {}
+        assert store.load_bucket("b") == {b"good": _delta(1)}
+    assert fresh_obs.counters["store.bucket_corrupt"] == 2
+
+
+@pytest.mark.parametrize("stats", [
+    5,
+    "not json",
+    "[1, 2]",
+    '{"l1_accesses": 1}',
+    '{"l1_accesses": true, "l1_hits": 0, "l2_accesses": 0, "l2_hits": 0,'
+    ' "dram_accesses": 0, "dram_row_misses": 0, "role_levels": {}}',
+    '{"l1_accesses": 1, "l1_hits": 0, "l2_accesses": 0, "l2_hits": 0,'
+    ' "dram_accesses": 0, "dram_row_misses": 0, "role_levels": {"r": [1]}}',
+    '{"l1_accesses": 1, "l1_hits": 0, "l2_accesses": 0, "l2_hits": 0,'
+    ' "dram_accesses": 0, "dram_row_misses": 0, "role_levels": {},'
+    ' "cycles": 5}',
+])
+def test_decode_is_strict(store, fresh_obs, stats):
+    store.merge_bucket("b", {b"good": _delta(1)})
+    _insert_raw(store, "b", b"bad", stats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert store.load_bucket("b") == {b"good": _delta(1)}
+    assert fresh_obs.counters["store.bucket_corrupt"] == 1
+
+
+class _Exploit:
+    """Unpickling this creates a directory: a visible side effect."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.marker,))
+
+
+def test_crafted_pickle_is_never_executed(store, fresh_obs, tmp_path):
+    """Loading a shared store must never run code from it: an old-style
+    ``*.pkl`` bucket is ignored, and the same bytes in a row count as
+    corruption instead of being unpickled."""
+    marker = tmp_path / "pwned"
+    payload = pickle.dumps(_Exploit(marker))
+    store.merge_bucket("b", {b"good": _delta(1)})
+    (store.root / "b.pkl").write_bytes(payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loaded = store.load_bucket("b")
+    assert not marker.exists(), "loading the store ran code from it"
+    assert list(loaded) == [b"good"]
+    assert "store.bucket_corrupt" not in fresh_obs.counters
+
+    _insert_raw(store, "b", b"evil", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert list(store.load_bucket("b")) == [b"good"]
+        assert PersistentReplayMemo(store, "b").preloaded == 1
+    assert not marker.exists()
     assert fresh_obs.counters["store.bucket_corrupt"] == 2
 
 
 def test_version_mismatch_warns_and_counts(store, fresh_obs):
-    store.merge_bucket("b", {b"k": 1})
-    path = store.bucket_path("b")
-    payload = pickle.loads(path.read_bytes())
-    payload["version"] = STORE_VERSION + 1
-    path.write_bytes(pickle.dumps(payload))
+    store.merge_bucket("b", {b"k": _delta(1)})
+    _set_version(store, STORE_VERSION + 1)
     with pytest.warns(RuntimeWarning, match="version"):
         assert store.load_bucket("b") == {}
     assert fresh_obs.counters["store.bucket_version_mismatch"] == 1
@@ -145,135 +237,23 @@ def test_cold_read_is_silent(store, fresh_obs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert store.load_bucket("never-written") == {}
+        store.merge_bucket("b", {b"k": _delta(1)})
+        assert store.load_bucket("never-written") == {}
     assert "store.bucket_corrupt" not in fresh_obs.counters
     assert "store.bucket_version_mismatch" not in fresh_obs.counters
 
 
 # ----------------------------------------------------------------------
-# _FileLock: fcntl fallback and stale-lock handling
+# concurrency: many processes, and a parent that forks after using it
 # ----------------------------------------------------------------------
-def _open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
-
-
-def test_lock_file_fallback_without_fcntl(tmp_path, monkeypatch):
-    """With fcntl unavailable the O_EXCL lock-file protocol engages."""
-    monkeypatch.setitem(sys.modules, "fcntl", None)  # import -> ImportError
-    path = tmp_path / "b.lock"
-    with _FileLock(path) as lock:
-        assert lock._exclusive_file
-        assert path.exists()
-        # a second contender cannot acquire while we hold it
-        with pytest.raises(TimeoutError):
-            with _FileLock(path, timeout_s=0.05):
-                pass
-    assert not path.exists()
-
-
-def test_flock_oserror_falls_back_without_leaking_fds(tmp_path, monkeypatch):
-    """An OSError from flock (e.g. NFS) must close the opened fd and
-    fall back to the lock-file protocol, not propagate."""
-    import fcntl as real_fcntl
-
-    def broken_flock(fd, op):
-        raise OSError("flock not supported on this filesystem")
-
-    monkeypatch.setattr(real_fcntl, "flock", broken_flock)
-    path = tmp_path / "b.lock"
-    before = _open_fds()
-    with _FileLock(path) as lock:
-        assert lock._exclusive_file  # acquired via the fallback
-        assert _open_fds() == before + 1  # exactly the fallback fd
-    assert _open_fds() == before
-    assert not path.exists()
-
-
-def test_stale_lock_is_broken_and_acquired(tmp_path, monkeypatch):
-    monkeypatch.setitem(sys.modules, "fcntl", None)
-    path = tmp_path / "b.lock"
-    path.write_bytes(b"")
-    old = time.time() - 1000.0
-    os.utime(path, (old, old))
-    with _FileLock(path, timeout_s=5.0, stale_s=300.0) as lock:
-        assert lock._exclusive_file
-    assert not path.exists()
-
-
-def test_stale_break_has_exactly_one_winner(tmp_path):
-    """Many waiters judging the same lock stale: the rename-based break
-    lets exactly one proceed (a raw unlink lets several 'win' and then
-    hold the exclusive lock concurrently)."""
-    path = tmp_path / "b.lock"
-    n = 8
-    winners = []
-    barrier = threading.Barrier(n)
-
-    def contend():
-        lock = _FileLock(path, stale_s=300.0)
-        barrier.wait()
-        winners.append(lock._break_stale())
-
-    for trial in range(5):
-        path.write_bytes(b"")
-        old = time.time() - 1000.0
-        os.utime(path, (old, old))
-        winners.clear()
-        threads = [threading.Thread(target=contend) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert sum(winners) == 1, f"trial {trial}: {winners}"
-        assert not path.exists()
-
-
-def _merge_worker_no_fcntl(root, wid, n):
-    sys.modules["fcntl"] = None  # force the lock-file fallback
-    s = ReplayMemoStore(root)
-    for i in range(n):
-        s.merge_bucket("shared", {f"w{wid}-{i}".encode(): (wid, i)})
-
-
-def test_concurrent_fallback_writers_lose_nothing(store):
-    """The lock-file protocol under real contention, stale file present
-    at the start: every entry must survive."""
-    lock_path = store._lock_path("shared")
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    lock_path.write_bytes(b"")
-    old = time.time() - 1000.0
-    os.utime(lock_path, (old, old))
-    n_workers, n_entries = 4, 10
-    ctx = multiprocessing.get_context("fork")
-    procs = [
-        ctx.Process(target=_merge_worker_no_fcntl,
-                    args=(str(store.root), w, n_entries))
-        for w in range(n_workers)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join(timeout=60)
-        assert p.exitcode == 0
-    merged = store.load_bucket("shared")
-    assert len(merged) == n_workers * n_entries
-
-
-def test_clear_removes_buckets(store):
-    store.merge_bucket("a", {b"k": 1})
-    store.merge_bucket("b", {b"k": 2})
-    store.clear()
-    assert not store.is_warm()
-    assert store.buckets() == []
-
-
 def _merge_worker(root, wid, n):
     s = ReplayMemoStore(root)
     for i in range(n):
-        s.merge_bucket("shared", {f"w{wid}-{i}".encode(): (wid, i)})
+        s.merge_bucket("shared", {f"w{wid}-{i}".encode(): _delta(wid * n + i)})
 
 
 def test_concurrent_writers_lose_nothing(store, tmp_path):
-    """Many processes hammering one bucket: every entry must survive."""
+    """Many processes merging into one bucket: every entry must survive."""
     n_workers, n_entries = 4, 25
     ctx = multiprocessing.get_context()
     procs = [
@@ -290,7 +270,33 @@ def test_concurrent_writers_lose_nothing(store, tmp_path):
     assert len(merged) == n_workers * n_entries
     for w in range(n_workers):
         for i in range(n_entries):
-            assert merged[f"w{w}-{i}".encode()] == (w, i)
+            assert merged[f"w{w}-{i}".encode()] == _delta(w * n_entries + i)
+
+
+def _child_merges_and_loads(root, conn):
+    s = ReplayMemoStore(root)
+    s.merge_bucket("b", {b"child": _delta(2)})
+    conn.send(sorted(s.load_bucket("b")))
+    conn.close()
+
+
+def test_forked_child_merges_and_loads(store):
+    """The service checks the store in the parent and then forks
+    workers: the child must be able to use the same store."""
+    store.merge_bucket("b", {b"parent": _delta(1)})
+    assert store.is_warm()
+    assert list(store.load_bucket("b")) == [b"parent"]
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_child_merges_and_loads,
+                       args=(str(store.root), child_end))
+    proc.start()
+    assert parent_end.poll(60)
+    assert parent_end.recv() == [b"child", b"parent"]
+    proc.join(timeout=60)
+    assert proc.exitcode == 0
+    assert store.load_bucket("b") == {b"parent": _delta(1),
+                                      b"child": _delta(2)}
 
 
 class TestPersistentReplayMemo:
@@ -324,9 +330,28 @@ class TestPersistentReplayMemo:
         memo = memo_for(store, small_config())
         self._run(memo)
         n = memo.flush()
-        assert n > 0
-        # nothing new learned since -> flush is a no-op read
-        assert memo.flush() == n
+        assert n == memo.misses > 0
+        # nothing new learned since -> nothing written
+        assert memo.flush() == 0
+
+    def test_flush_without_fresh_entries_does_no_io(self, store,
+                                                    monkeypatch):
+        """A fully warm shard's flush must not touch the store."""
+        memo = memo_for(store, small_config())
+        self._run(memo)
+        memo.flush()
+        warm = memo_for(store, small_config())
+        self._run(warm)
+        assert warm.misses == 0
+        calls = []
+        for name in ("load_bucket", "merge_bucket"):
+            real = getattr(ReplayMemoStore, name)
+            monkeypatch.setattr(
+                ReplayMemoStore, name,
+                lambda self, *a, _real=real, _name=name:
+                    calls.append(_name) or _real(self, *a))
+        warm.flush()
+        assert calls == []
 
     def test_scoped_buckets_are_disjoint_files(self, store):
         cfg = small_config()
@@ -335,8 +360,8 @@ class TestPersistentReplayMemo:
         assert a.bucket != b.bucket
         self._run(a)
         a.flush()
-        assert store.size(a.bucket) > 0
-        assert store.size(b.bucket) == 0
+        assert len(store.load_bucket(a.bucket)) > 0
+        assert store.load_bucket(b.bucket) == {}
 
     def test_isinstance_of_replay_memo(self, store):
         from repro.harness.runner import ReplayMemo
