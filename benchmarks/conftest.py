@@ -14,20 +14,27 @@ The suite additionally rides the experiment service:
 * every in-process run is pointed at the disk-persistent replay store
   (``benchmarks/replay_store`` or ``$REPRO_STORE_DIR``), so a second
   benchmark invocation replays almost nothing;
-* set ``REPRO_BENCH_WORKERS=N`` (N > 0) to precompute the sweep cells
-  on N worker processes before the benchmarks start -- the figures then
-  tabulate against the warm cache, bit-identically;
+* set ``REPRO_BENCH_WORKERS=N`` (N > 0) to precompute the registry's
+  sweep cells (its ``run_one`` points) on N worker processes before the
+  benchmarks start -- the figures then tabulate against the warm cache,
+  bit-identically;
 * a run manifest for the warm-up shards lands in
   ``benchmarks/results/bench_manifest.json``.
 """
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.harness.registry import ExperimentOptions
+from repro.harness.registry import (
+    ExperimentOptions,
+    experiment_names,
+    get_experiment,
+)
+from repro.harness.runner import missing_points
 from repro.harness.service import ExperimentService
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -65,13 +72,18 @@ def experiment_service():
         if BENCH_WORKERS > 0:
             options = ExperimentOptions(scale=BENCH_SCALE)
             warm = service.store.is_warm() if service.store else False
-            reports = service.warm_cells(options=options)
+            cells = [p for name in experiment_names()
+                     for p in get_experiment(name).points(options)
+                     if p.is_cell]
+            t0 = time.perf_counter()
+            done = service.run_points(missing_points(cells))
+            reports = [report for _, report in done.values()]
             RESULTS_DIR.mkdir(exist_ok=True)
             ExperimentService.write_manifest(
                 RESULTS_DIR / "bench_manifest.json",
-                service._manifest(
-                    ["<warm_cells>"], options, reports,
-                    sum(r.wall_s for r in reports), warm,
+                service.manifest(
+                    ["<sweep cells>"], options, reports,
+                    time.perf_counter() - t0, warm,
                 ),
             )
         yield service

@@ -174,10 +174,22 @@ def run_program(
 # ----------------------------------------------------------------------
 # registry glue (registered by repro.harness.registry as "kernel")
 # ----------------------------------------------------------------------
-def kernel_experiment_run(options) -> ProgramResult:
-    """The ``kernel`` experiment: params carry the program itself.
+def run_program_source(
+    source: Optional[str] = None,
+    path: Optional[str] = None,
+    techniques: Optional[Tuple[str, ...]] = None,
+    config: Optional[GPUConfig] = None,
+) -> ProgramResult:
+    """Load a program (default: the demo) and run it across techniques."""
+    if source is None and path is None:
+        source = DEMO_SOURCE
+    entry = load_program(source=source, path=path)
+    return run_program(entry, techniques=techniques, config=config)
 
-    ``options.params["kernel"]`` keys:
+
+def kernel_point(options):
+    """The ``kernel`` experiment's one run; ``options.params["kernel"]``
+    keys:
 
     ``source`` / ``path``
         the program text or a file path (default: the demo program)
@@ -187,16 +199,22 @@ def kernel_experiment_run(options) -> ProgramResult:
     ``config``
         ``"small"`` to force the CI-sized GPU (default: options.config)
     """
+    from ..harness.runner import point
+
     params = options.params_for("kernel")
-    source = params.get("source")
-    path = params.get("path")
-    if source is None and path is None:
-        source = DEMO_SOURCE
-    entry = load_program(source=source, path=path)
-    config = options.config
-    if params.get("config") == "small":
-        config = small_config()
     techniques = params.get("techniques")
-    if techniques is not None:
-        techniques = tuple(techniques)
-    return run_program(entry, techniques=techniques, config=config)
+    return point(
+        run_program_source,
+        source=params.get("source"),
+        path=params.get("path"),
+        techniques=tuple(techniques) if techniques is not None else None,
+        config=(small_config() if params.get("config") == "small"
+                else options.config),
+    )
+
+
+def kernel_experiment_run(options) -> ProgramResult:
+    """The ``kernel`` experiment: params carry the program itself."""
+    from ..harness.runner import evaluate
+
+    return evaluate({"kernel": kernel_point(options)})["kernel"]

@@ -48,13 +48,13 @@ from .stats import KernelStats
 #: directly, outside ``harness.runner`` -- replays out of the
 #: persistent store.  ``Machine.set_replay_memo`` still overrides it
 #: per machine.
-_DEFAULT_REPLAY_MEMO = None
+_DEFAULT_MEMO = None
 
 
 def set_default_replay_memo(memo):
     """Install the memo new machines start with; returns the old one."""
-    global _DEFAULT_REPLAY_MEMO
-    old, _DEFAULT_REPLAY_MEMO = _DEFAULT_REPLAY_MEMO, memo
+    global _DEFAULT_MEMO
+    old, _DEFAULT_MEMO = _DEFAULT_MEMO, memo
     return old
 
 
@@ -98,7 +98,7 @@ class Machine:
         )
         #: optional cross-run replay memo (set by harness.runner before
         #: any launch); plus the trace-hash chain and pending traces
-        self._replay_memo = _DEFAULT_REPLAY_MEMO
+        self._replay_memo = _DEFAULT_MEMO
         self._trace_chain: Optional[bytes] = None
         self._pending_traces: List[list] = []
         self._waves_replayed = 0

@@ -13,22 +13,21 @@ value can drive a whole suite; :data:`SMOKE_PARAMS` holds a ready-made
 set that shrinks every experiment to seconds (the CLI exposes it as
 ``--quick``, CI and the test suite run on it).
 
-Experiments whose work is a slice of the shared (workload x technique)
-sweep additionally declare ``cells(options)`` -- the
-(workload, technique) pairs they need -- which is what lets the
-service shard the sweep across worker processes and then run the
-figure harnesses against the warmed in-process cache, bit-identically
-to a serial run.
+Every experiment also declares ``points(options)``: each simulator
+run it needs, as a hashable :class:`~repro.harness.runner.Point`.
+The service runs the points of a whole invocation once each on its
+worker pool, then calls every experiment's ``run`` in the parent, which
+tabulates against the recorded values bit-identically to a serial run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..gpu.config import GPUConfig
 from ..techniques import figure_techniques
 from ..workloads import workload_names
-from .runner import DEFAULT_SCALE
+from .runner import DEFAULT_SCALE, Point, cell_point
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,8 @@ class Experiment:
     description: str
     run: Callable[[ExperimentOptions], Any]
     render: Callable[[Any], str]
-    #: (workload, technique) sweep cells this experiment reads, or None
-    #: when it builds its own machines (micro/allocator studies)
-    cells: Optional[
-        Callable[[ExperimentOptions], Tuple[Tuple[str, str], ...]]
-    ] = None
+    #: every simulator run ``run`` needs under these options
+    points: Callable[[ExperimentOptions], Tuple[Point, ...]]
 
 
 #: name -> Experiment, in the paper's presentation order.
@@ -103,16 +99,6 @@ def render_experiment(name: str, result: Any) -> str:
 # ----------------------------------------------------------------------
 # registrations
 # ----------------------------------------------------------------------
-def _sweep_cells(techniques: Sequence[str]):
-    def cells(options: ExperimentOptions) -> Tuple[Tuple[str, str], ...]:
-        return tuple(
-            (wl, tech)
-            for wl in options.workload_list()
-            for tech in techniques
-        )
-    return cells
-
-
 def _table_render(result) -> str:
     return result.table
 
@@ -129,31 +115,33 @@ def _register_all() -> None:
                 **o.params_for(_n),
             ),
             render=_table_render,
-            cells=_sweep_cells(techniques),
+            points=lambda o, _techs=techniques: tuple(
+                cell_point(wl, tech, o.scale, None, o.config, o.seed)
+                for wl in o.workload_list() for tech in _techs),
+        ))
+
+    def study_exp(name, description, fn, points_fn,
+                  args=lambda o: {"config": o.config}, render=_table_render):
+        """``run`` is ``fn(**kwargs)``, ``points`` ``points_fn(**kwargs)``."""
+        def kwargs(o):
+            return {**args(o), **o.params_for(name)}
+
+        register(Experiment(
+            name=name,
+            description=description,
+            run=lambda o: fn(**kwargs(o)),
+            render=render,
+            points=lambda o: tuple(points_fn(**kwargs(o)).values()),
         ))
 
     sweep_exp("fig1", "Figure 1b: direct-cost breakdown of a CUDA "
               "virtual call", figures.fig1_breakdown, ("cuda",))
 
-    register(Experiment(
-        name="table1",
-        description="Table 1 (measured): operation-A access scaling",
-        run=lambda o: tables.table1_access_model(
-            config=o.config, **o.params_for("table1")
-        ),
-        render=_table_render,
-    ))
+    study_exp("table1", "Table 1 (measured): operation-A access scaling",
+              tables.table1_access_model, tables.table1_points)
 
-    register(Experiment(
-        name="table2",
-        description="Table 2: workload characteristics vs published",
-        run=lambda o: tables.table2_workloads(
-            scale=o.scale, config=o.config, workloads=o.workloads,
-            **o.params_for("table2")
-        ),
-        render=_table_render,
-        cells=_sweep_cells(("cuda",)),
-    ))
+    sweep_exp("table2", "Table 2: workload characteristics vs published",
+              tables.table2_workloads, ("cuda",))
 
     sweep_exp("fig6", "Figure 6: performance normalized to SharedOA",
               figures.fig6_performance, figure_techniques())
@@ -164,48 +152,28 @@ def _register_all() -> None:
     sweep_exp("fig9", "Figure 9: L1 hit rate per technique",
               figures.fig9_l1_hit_rate, figure_techniques())
 
-    register(Experiment(
-        name="fig10",
-        description="Figure 10a/b: chunk-size sweep (perf, fragmentation)",
-        run=lambda o: allocator_study.fig10_chunk_sweep(
-            workloads=o.workloads, scale=o.scale, config=o.config,
-            seed=o.seed, **o.params_for("fig10")
-        ),
-        render=lambda r: r[0].table + "\n\n" + r[1].table,
-    ))
+    study_exp("fig10", "Figure 10a/b: chunk-size sweep (perf, "
+              "fragmentation)",
+              allocator_study.fig10_chunk_sweep, allocator_study.fig10_points,
+              lambda o: {"workloads": o.workloads, "scale": o.scale,
+                         "config": o.config, "seed": o.seed},
+              render=lambda r: r[0].table + "\n\n" + r[1].table)
 
     sweep_exp("fig11", "Figure 11: TypePointer on the CUDA allocator",
               figures.fig11_tp_on_cuda, ("cuda", "tp_on_cuda"))
 
-    register(Experiment(
-        name="fig12a",
-        description="Figure 12a: scalability vs object count",
-        run=lambda o: scalability.fig12a_object_scaling(
-            config=o.config, **o.params_for("fig12a")
-        ),
-        render=_table_render,
-    ))
-    register(Experiment(
-        name="fig12b",
-        description="Figure 12b: scalability vs types per warp",
-        run=lambda o: scalability.fig12b_type_scaling(
-            config=o.config, **o.params_for("fig12b")
-        ),
-        render=_table_render,
-    ))
-    register(Experiment(
-        name="init",
-        description="Init-phase speedup: SharedOA vs device-side new",
-        run=lambda o: allocator_study.init_performance(
-            config=o.config, **o.params_for("init")
-        ),
-        render=lambda r: (
-            f"Init-phase speedup over {r.objects} objects: "
-            f"{r.speedup:.1f}x (paper: ~80x)"
-        ),
-    ))
+    study_exp("fig12a", "Figure 12a: scalability vs object count",
+              scalability.fig12a_object_scaling, scalability.fig12a_points)
+    study_exp("fig12b", "Figure 12b: scalability vs types per warp",
+              scalability.fig12b_type_scaling, scalability.fig12b_points)
+    study_exp("init", "Init-phase speedup: SharedOA vs device-side new",
+              allocator_study.init_performance, allocator_study.init_points,
+              render=lambda r: (
+                  f"Init-phase speedup over {r.objects} objects: "
+                  f"{r.speedup:.1f}x (paper: ~80x)"
+              ))
 
-    from ..frontend.program import kernel_experiment_run
+    from ..frontend.program import kernel_experiment_run, kernel_point
 
     register(Experiment(
         name="kernel",
@@ -213,6 +181,7 @@ def _register_all() -> None:
                     "cross-checked across techniques",
         run=kernel_experiment_run,
         render=lambda r: r.table,
+        points=lambda o: (kernel_point(o),),
     ))
 
 

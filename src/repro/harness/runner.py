@@ -1,16 +1,24 @@
-"""Experiment runner: sweeps (workload x technique) and caches results.
+"""Experiment runner: simulator runs as points, and their caches.
 
 Every figure in section 8 is a view over the same sweep (performance,
 instruction mix, load transactions, L1 hit rate), so the runner
 executes each (workload, technique) pair once per process and caches
 the :class:`RunRecord`; the per-figure harnesses then slice, normalise
 and tabulate.
+
+Any simulator run is a :class:`Point` (a cell is a ``run_one`` point).
+The experiment service records the values of the points it ran here,
+and experiments tabulate through :func:`evaluate`, which computes
+whatever is missing in-process, so serial and parallel runs share one
+code path.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .. import obs
 from ..gpu.config import GPUConfig, scaled_config
@@ -102,28 +110,10 @@ class ReplayMemo:
         if len(self._store) < self.MAX_ENTRIES:
             self._store[key] = stats
 
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-#: process-wide memo shared by every machine the runner creates; the
-#: parallel service swaps this for a store-backed memo (see
-#: ``harness.store`` / ``harness.service``)
-REPLAY_MEMO = ReplayMemo()
-
-
-def set_default_memo(memo: ReplayMemo) -> ReplayMemo:
-    """Swap the runner's process-wide replay memo; returns the old one."""
-    global REPLAY_MEMO
-    old, REPLAY_MEMO = REPLAY_MEMO, memo
-    return old
-
 
 def clear_cache() -> None:
     _CACHE.clear()
-    REPLAY_MEMO.clear()
+    _VALUES.clear()
 
 
 def cache_key(
@@ -143,12 +133,6 @@ def cache_get(key: Tuple) -> Optional[RunRecord]:
     return _CACHE.get(key)
 
 
-def cache_put(key: Tuple, record: RunRecord) -> None:
-    """Seed the in-process cache (used by the parallel service, whose
-    workers compute records out of process)."""
-    _CACHE[key] = record
-
-
 def run_one(
     workload: str,
     technique: str,
@@ -159,7 +143,12 @@ def run_one(
     use_cache: bool = True,
     memo: Optional[ReplayMemo] = None,
 ) -> RunRecord:
-    """Run one workload under one technique and record the counters."""
+    """Run one workload under one technique and record the counters.
+
+    The machine replays through ``memo`` when one is given, and
+    otherwise through the process default
+    (:func:`repro.gpu.machine.set_default_replay_memo`).
+    """
     cfg = config or scaled_config()
     key = (workload, technique, scale, iterations, cfg.name, seed)
     if use_cache and key in _CACHE:
@@ -169,7 +158,8 @@ def run_one(
     obs.count("runner.cache_misses")
     with obs.span("runner.run_one"):
         machine = Machine(technique, config=cfg)
-        machine.set_replay_memo(memo if memo is not None else REPLAY_MEMO)
+        if memo is not None:
+            machine.set_replay_memo(memo)
         wl = make_workload(workload, machine, scale=scale, seed=seed)
         stats = wl.run(iterations)
     record = RunRecord(
@@ -204,6 +194,102 @@ def run_one(
     if use_cache:
         _CACHE[key] = record
     return record
+
+
+# ----------------------------------------------------------------------
+# points: the unit of work the experiment service schedules
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Point:
+    """One simulator run: a module-level function, named by its module
+    path so it is looked up at call time, and its keyword arguments.
+    Hashable, so a run several experiments need collapses into one."""
+
+    func: str
+    kwargs: Tuple[Tuple[str, Any], ...]
+
+    def resolve(self) -> Callable[..., Any]:
+        module, _, name = self.func.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+
+    def call(self) -> Any:
+        return self.resolve()(**dict(self.kwargs))
+
+    @property
+    def config(self) -> Optional[GPUConfig]:
+        return dict(self.kwargs).get("config")
+
+    @property
+    def is_cell(self) -> bool:
+        return self.func == f"{__name__}.run_one"
+
+    @property
+    def label(self) -> str:
+        """Readable, and unique among the points of one run."""
+        kw = dict(self.kwargs)
+        if self.is_cell:
+            return (f"{kw['workload']}x{kw['technique']}"
+                    + (f"@{self.config.name}" if self.config else ""))
+        args = ", ".join(f"{k}={str(getattr(v, 'name', v))[:32]}"
+                         for k, v in self.kwargs if v is not None)
+        return f"{self.func.rpartition('.')[2]}({args})"
+
+
+def point(fn: Callable[..., Any], **kwargs: Any) -> Point:
+    """The point that calls module-level ``fn(**kwargs)``."""
+    return Point(f"{fn.__module__}.{fn.__name__}",
+                 tuple(sorted(kwargs.items())))
+
+
+def cell_point(workload: str, technique: str, scale: float,
+               iterations: Optional[int], config: Optional[GPUConfig],
+               seed: int) -> Point:
+    """The point of one ``run_one`` sweep cell."""
+    return point(run_one, workload=workload, technique=technique,
+                 scale=scale, iterations=iterations, config=config,
+                 seed=seed)
+
+
+#: values of the non-cell points the service ran for this process
+#: (cell records live in ``_CACHE``)
+_VALUES: Dict[Point, Any] = {}
+_MISSING = object()
+
+
+def _recorded(p: Point) -> Any:
+    if p.is_cell:
+        return _CACHE.get(cache_key(**dict(p.kwargs)), _MISSING)
+    return _VALUES.get(p, _MISSING)
+
+
+def record_point(p: Point, value: Any) -> None:
+    """A cell seeds the runner cache; any other value the value map."""
+    if p.is_cell:
+        _CACHE[cache_key(**dict(p.kwargs))] = value
+    else:
+        _VALUES[p] = value
+
+
+def forget_points(points: Iterable[Point]) -> None:
+    """Drop the recorded non-cell values of ``points``."""
+    for p in points:
+        _VALUES.pop(p, None)
+
+
+def missing_points(points: Iterable[Point]) -> List[Point]:
+    """The distinct points, in first-seen order, with no recorded value."""
+    return [p for p in dict.fromkeys(points) if _recorded(p) is _MISSING]
+
+
+def evaluate(grid: Mapping[Any, Point]) -> Dict[Any, Any]:
+    """Each point's value, keyed like ``grid``: the recorded one, or
+    computed here once (a cell caches itself in ``run_one``)."""
+    values: Dict[Point, Any] = {}
+    for p in grid.values():
+        if p not in values:
+            value = _recorded(p)
+            values[p] = p.call() if value is _MISSING else value
+    return {key: values[p] for key, p in grid.items()}
 
 
 def run_sweep(

@@ -21,6 +21,7 @@ from ..techniques import microbench_techniques
 from ..workloads.microbench import BranchMicrobench, ObjectMicrobench
 from .figures import FigureResult
 from .report import format_table
+from .runner import Point, evaluate, point
 
 #: techniques shown in Figure 12 (BRANCH handled separately): the
 #: registry's microbench set -- the paper's three plus ``soa``
@@ -32,7 +33,8 @@ DEFAULT_FIXED_OBJECTS = 524_288   # stands in for the paper's 16M
 
 
 def _micro_cycles(technique: str, num_objects: int, num_types: int,
-                  cfg: GPUConfig) -> float:
+                  config: Optional[GPUConfig] = None) -> float:
+    cfg = config or scaled_config()
     heap_cap = max(1 << 22, num_objects * 64)
     if technique == "branch":
         m = Machine("cuda", config=cfg, heap_capacity=1 << 22)
@@ -43,18 +45,38 @@ def _micro_cycles(technique: str, num_objects: int, num_types: int,
     return bench.run(iterations=1).cycles
 
 
+def fig12a_points(
+    object_counts: Sequence[int] = DEFAULT_OBJECT_SWEEP,
+    num_types: int = 4,
+    config: Optional[GPUConfig] = None,
+) -> Dict[Tuple[str, int], Point]:
+    """Figure 12a's runs, keyed by (technique, object count)."""
+    return {(tech, n): point(_micro_cycles, technique=tech, num_objects=n,
+                             num_types=num_types, config=config)
+            for n in object_counts
+            for tech in ("branch",) + FIG12_TECHNIQUES}
+
+
+def fig12b_points(
+    type_counts: Sequence[int] = DEFAULT_TYPE_SWEEP,
+    num_objects: int = DEFAULT_FIXED_OBJECTS,
+    config: Optional[GPUConfig] = None,
+) -> Dict[Tuple[str, int], Point]:
+    """Figure 12b's runs, keyed by (technique, type count)."""
+    return {(tech, t): point(_micro_cycles, technique=tech,
+                             num_objects=num_objects, num_types=t,
+                             config=config)
+            for t in type_counts
+            for tech in ("branch",) + FIG12_TECHNIQUES}
+
+
 def fig12a_object_scaling(
     object_counts: Sequence[int] = DEFAULT_OBJECT_SWEEP,
     num_types: int = 4,
     config: Optional[GPUConfig] = None,
 ) -> FigureResult:
     """Execution time vs object count, normalized to BRANCH @ smallest."""
-    cfg = config or scaled_config()
-    cycles: Dict[Tuple[str, int], float] = {}
-    for n in object_counts:
-        cycles[("branch", n)] = _micro_cycles("branch", n, num_types, cfg)
-        for tech in FIG12_TECHNIQUES:
-            cycles[(tech, n)] = _micro_cycles(tech, n, num_types, cfg)
+    cycles = evaluate(fig12a_points(object_counts, num_types, config))
     base = cycles[("branch", object_counts[0])]
     norm = {k: v / base for k, v in cycles.items()}
     # slowdown vs BRANCH at the largest point (the paper quotes 5.6x
@@ -84,12 +106,7 @@ def fig12b_type_scaling(
     config: Optional[GPUConfig] = None,
 ) -> FigureResult:
     """Execution time vs types per warp, normalized to BRANCH @ 1 type."""
-    cfg = config or scaled_config()
-    cycles: Dict[Tuple[str, int], float] = {}
-    for t in type_counts:
-        cycles[("branch", t)] = _micro_cycles("branch", num_objects, t, cfg)
-        for tech in FIG12_TECHNIQUES:
-            cycles[(tech, t)] = _micro_cycles(tech, num_objects, t, cfg)
+    cycles = evaluate(fig12b_points(type_counts, num_objects, config))
     base = cycles[("branch", type_counts[0])]
     norm = {k: v / base for k, v in cycles.items()}
     top = type_counts[-1]

@@ -1,23 +1,20 @@
-"""Parallel experiment service: shard the sweep across worker processes.
+"""Parallel experiment service: run every point on worker processes.
 
-The evaluation is a large grid -- 11 workloads x 5+ techniques across
-~20 tables and figures -- and every cell is independent, so the
-service runs them as *shards* on a small pool of worker processes:
+The evaluation is a large grid of independent simulator runs, and
+every experiment declares its runs as *points*
+(:class:`~repro.harness.runner.Point`), so the service has one kind of
+shard: one point on a small pool of worker processes.  A point several
+experiments need (Figure 10's CUDA references are Figure 6 cells) runs
+once.  The parent records each value -- a ``RunRecord`` seeds the
+runner cache, anything else the runner's value map -- and then calls
+every experiment's ``run`` in-process, which tabulates through
+:func:`~repro.harness.runner.evaluate`: parallel output is
+bit-identical to serial by construction.
 
-* **cell shards** -- one ``(workload, technique, scale)`` run of the
-  shared sweep (``harness.runner.run_one``).  Workers return the
-  :class:`~repro.harness.runner.RunRecord`, the parent seeds the
-  in-process runner cache with it, and the figure harnesses then
-  tabulate against the warm cache exactly as they would after a serial
-  sweep -- parallel output is bit-identical by construction.
-* **experiment shards** -- experiments that build their own machines
-  (Table 1, Figure 10, Figure 12a/b, init) run whole in a worker and
-  ship their Result back.
-
-Every shard attaches a :class:`~repro.harness.store.PersistentReplayMemo`
-from the disk-backed replay store, so a second invocation of
-``python -m repro all`` replays almost nothing, across any number of
-processes.
+Every shard installs a :class:`~repro.harness.store.PersistentReplayMemo`
+from the disk-backed replay store as the machine default, so a second
+invocation of ``python -m repro all`` replays almost nothing, across
+any number of processes.
 
 Robustness contract (recorded per shard in the run manifest):
 
@@ -34,23 +31,23 @@ is written next to ``benchmarks/results/`` by the CLI.
 """
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults, obs
 from ..gpu.config import scaled_config
 from ..gpu.machine import set_default_replay_memo
-from . import runner
 from .registry import (
     ExperimentOptions,
     experiment_names,
     get_experiment,
 )
-from .runner import cache_get, cache_key, cache_put, run_one
+from .runner import Point, forget_points, missing_points, record_point
 from .store import ReplayMemoStore, default_store_dir, memo_for
 
 #: schema tag of the run manifest
@@ -61,9 +58,12 @@ DEFAULT_MANIFEST_PATH = os.path.join(
     "benchmarks", "results", "run_manifest.json"
 )
 
-#: default per-shard timeout (generous: a shard is one sweep cell or
-#: one self-contained experiment, not the whole suite)
+#: default per-shard timeout (generous: a shard is one point, not the
+#: whole suite)
 DEFAULT_TIMEOUT_S = 900.0
+
+#: worker attempts per shard before it is recomputed in the parent
+MAX_ATTEMPTS = 2
 
 #: every outcome a shard report may carry
 SHARD_OUTCOMES = ("ok", "retried", "timeout", "fallback")
@@ -152,7 +152,6 @@ class ShardReport:
     """One shard's fate, as recorded in the run manifest."""
 
     shard: str
-    kind: str
     outcome: str            # ok | retried | timeout | fallback
     attempts: int
     wall_s: float
@@ -202,8 +201,6 @@ def run_shards(
     num_workers: int = 2,
     timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
     labels: Optional[Sequence[str]] = None,
-    kinds: Optional[Sequence[str]] = None,
-    max_attempts: int = 2,
 ) -> Tuple[List[Any], List[ShardReport]]:
     """Run ``worker(item)`` for every item on a process pool.
 
@@ -214,7 +211,6 @@ def run_shards(
     """
     n = len(items)
     labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-    kinds = list(kinds) if kinds is not None else ["shard"] * n
     values: List[Any] = [None] * n
     reports: List[Optional[ShardReport]] = [None] * n
 
@@ -224,7 +220,7 @@ def run_shards(
         t0 = started if started is not None else time.perf_counter()
         values[i] = worker(items[i])
         reports[i] = ShardReport(
-            shard=labels[i], kind=kinds[i], outcome=outcome,
+            shard=labels[i], outcome=outcome,
             attempts=attempts, wall_s=time.perf_counter() - t0, error=error,
         )
 
@@ -253,7 +249,7 @@ def run_shards(
                error: Optional[str] = None) -> None:
         values[i] = value
         reports[i] = ShardReport(
-            shard=labels[i], kind=kinds[i], outcome=outcome,
+            shard=labels[i], outcome=outcome,
             attempts=task.attempt, wall_s=time.perf_counter() - first_start[i],
             error=error,
         )
@@ -266,7 +262,7 @@ def run_shards(
         failure counts as retried."""
         if exc is not None:
             faults.note_retried(exc)
-        if task.attempt < max_attempts:
+        if task.attempt < MAX_ATTEMPTS:
             pending.append((i, task.attempt + 1))
             return
         outcome = "timeout" if reason == "timeout" else "fallback"
@@ -284,7 +280,6 @@ def run_shards(
         _schedule_shards(
             pending, running, first_start, num_workers, timeout_s,
             ctx, worker, items, run_serial, finish, fail, reap,
-            max_attempts,
         )
     except BaseException:
         # KeyboardInterrupt / SIGTERM-raised SystemExit (or anything
@@ -306,7 +301,7 @@ def run_shards(
 
 def _schedule_shards(pending, running, first_start, num_workers, timeout_s,
                      ctx, worker, items, run_serial, finish, fail,
-                     reap, max_attempts=2) -> None:
+                     reap) -> None:
     """The ``run_shards`` scheduling loop (split out so the interrupt
     path of the caller can clean up ``running`` uniformly)."""
     parallel_ok = True
@@ -328,7 +323,7 @@ def _schedule_shards(pending, running, first_start, num_workers, timeout_s,
                 # shard, or recompute serially once attempts run out --
                 # it must not condemn the whole pool
                 faults.note_retried(exc)
-                if attempt < max_attempts:
+                if attempt < MAX_ATTEMPTS:
                     pending.append((i, attempt + 1))
                 else:
                     run_serial(i, "fallback", attempt + 1,
@@ -402,20 +397,10 @@ def _schedule_shards(pending, running, first_start, num_workers, timeout_s,
 
 
 # ----------------------------------------------------------------------
-# the experiment-level worker (module-level: importable in any start
-# method)
+# the point worker (module-level: importable in any start method)
 # ----------------------------------------------------------------------
-def _worker_memo(payload: Dict) -> Optional[Any]:
-    store_dir = payload.get("store_dir")
-    if not store_dir:
-        return None
-    cfg = payload.get("config") or scaled_config()
-    return memo_for(ReplayMemoStore(store_dir), cfg,
-                    scope=payload["scope"])
-
-
-def _service_worker(payload: Dict) -> Dict:
-    """Run one service shard (cell or whole experiment).
+def _service_worker(point: Point, store_dir: Optional[str] = None) -> Dict:
+    """Run one point with the store's memo as the machine default.
 
     Runs in a worker process normally, but must also be safe to call in
     the parent (serial mode / fallback), so any global it touches is
@@ -427,31 +412,22 @@ def _service_worker(payload: Dict) -> Dict:
     reg = obs.Registry()
     prev_reg = obs.set_registry(reg)
     try:
-        with reg.span(f"service.shard.{payload['kind']}"):
+        with reg.span(f"service.shard.{point.func.rpartition('.')[2]}"):
             # kill/raise here lands in the worker process (forked after
             # arming); the scheduler's crash/err paths recover the shard
             faults.failpoint("service.shard.body")
-            memo = _worker_memo(payload)
-            if payload["kind"] == "cell":
-                record = run_one(
-                    payload["workload"], payload["technique"],
-                    scale=payload["scale"], iterations=payload["iterations"],
-                    config=payload["config"], seed=payload["seed"],
-                    use_cache=False, memo=memo,
-                )
-                value = record
+            if not store_dir:
+                value, hits, misses = point.call(), 0, 0
             else:
-                exp = get_experiment(payload["name"])
-                prev = (set_default_replay_memo(memo)
-                        if memo is not None else None)
+                memo = memo_for(ReplayMemoStore(store_dir),
+                                point.config or scaled_config(),
+                                scope=point.label)
+                prev = set_default_replay_memo(memo)
                 try:
-                    value = exp.run(payload["options"])
+                    value = point.call()
                 finally:
-                    if memo is not None:
-                        set_default_replay_memo(prev)
-            hits = memo.hits if memo is not None else 0
-            misses = memo.misses if memo is not None else 0
-            if memo is not None:
+                    set_default_replay_memo(prev)
+                hits, misses = memo.hits, memo.misses
                 memo.flush()
     finally:
         obs.set_registry(prev_reg)
@@ -479,9 +455,9 @@ class ExperimentService:
     """Schedules registry experiments over a worker pool + replay store.
 
     One instance may be driven from several threads (the serving daemon
-    offloads each job to a thread pool): ``run``/``warm_cells``
+    offloads each job to a thread pool): ``run``/``run_points``
     serialize on an internal lock, because both the run-scoped telemetry
-    registry swap and the in-process runner cache are process-wide.
+    registry swap and the in-process point values are process-wide.
     """
 
     def __init__(
@@ -498,40 +474,7 @@ class ExperimentService:
         self.store_dir = (store_dir or default_store_dir()) if use_store else None
         self.store = (ReplayMemoStore(self.store_dir)
                       if self.store_dir else None)
-        self.last_run: Optional[ServiceRun] = None
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def _cell_payload(self, wl: str, tech: str,
-                      options: ExperimentOptions) -> Dict:
-        return {
-            "kind": "cell", "workload": wl, "technique": tech,
-            "scale": options.scale, "iterations": None,
-            "config": options.config, "seed": options.seed,
-            "store_dir": self.store_dir, "scope": f"{wl}-{tech}",
-        }
-
-    def _experiment_payload(self, name: str,
-                            options: ExperimentOptions) -> Dict:
-        return {
-            "kind": "experiment", "name": name, "options": options,
-            "config": options.config, "store_dir": self.store_dir,
-            "scope": f"exp-{name}",
-        }
-
-    def _missing_cells(self, experiments,
-                       options: ExperimentOptions) -> List[Tuple[str, str]]:
-        seen = {}
-        for exp in experiments:
-            if exp.cells is None:
-                continue
-            for cell in exp.cells(options):
-                seen.setdefault(cell, None)
-        return [
-            (wl, tech) for (wl, tech) in seen
-            if cache_get(cache_key(wl, tech, options.scale, None,
-                                   options.config, options.seed)) is None
-        ]
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     def run(
@@ -566,145 +509,84 @@ class ExperimentService:
     def _run_under_registry(self, names, experiments, options, warm_start,
                             t0, manifest_path) -> ServiceRun:
         with obs.span("service.run"):
-            cells = self._missing_cells(experiments, options)
-            payloads = [self._cell_payload(wl, tech, options)
-                        for wl, tech in cells]
-            labels = [f"{wl}x{tech}" for wl, tech in cells]
-            kinds = ["cell"] * len(cells)
-            self_contained = [e for e in experiments if e.cells is None]
-            payloads += [self._experiment_payload(e.name, options)
-                         for e in self_contained]
-            labels += [e.name for e in self_contained]
-            kinds += ["experiment"] * len(self_contained)
-
-            values, reports = run_shards(
-                payloads, _service_worker,
-                num_workers=self.num_workers, timeout_s=self.timeout_s,
-                labels=labels, kinds=kinds,
-            )
-            self._absorb_shard_telemetry(reports, values)
-
-            for (wl, tech), value in zip(cells, values):
-                cache_put(
-                    cache_key(wl, tech, options.scale, None,
-                              options.config, options.seed),
-                    value["value"],
-                )
-            by_name = {
-                e.name: v["value"]
-                for e, v in zip(self_contained, values[len(cells):])
-            }
-            results = {}
-            for exp in experiments:
-                if exp.cells is None:
-                    results[exp.name] = by_name[exp.name]
-                else:
-                    results[exp.name] = exp.run(options)
+            todo = missing_points(
+                p for exp in experiments for p in exp.points(options))
+            reports = [report for _, report in self.run_points(todo).values()]
+            try:
+                results = {exp.name: exp.run(options) for exp in experiments}
+            finally:
+                # cells stay cached, as a serial run leaves them; other
+                # values belong to this run only
+                forget_points(todo)
 
         wall = time.perf_counter() - t0
-        manifest = self._manifest(names, options, reports, wall, warm_start)
+        manifest = self.manifest(names, options, reports, wall, warm_start)
         run = ServiceRun(results=results, reports=reports,
                          manifest=manifest, wall_s=wall)
-        self.last_run = run
         if manifest_path:
             self.write_manifest(manifest_path, manifest)
         return run
 
-    def run_point_shards(
+    def run_points(
         self,
-        payloads: Sequence[Dict],
-        labels: Sequence[str],
+        points: Iterable[Point],
         *,
-        worker: Optional[Callable[[Dict], Dict]] = None,
-    ) -> Tuple[List[Dict], List[ShardReport]]:
-        """Fan arbitrary cell payloads through the pool (sweep entry).
+        worker: Optional[Callable[..., Dict]] = None,
+    ) -> Dict[Point, Tuple[Dict, ShardReport]]:
+        """Run each distinct point once on the pool and record its value.
 
-        The sweep driver builds its own payloads (per-point configs,
-        scopes, seeds) and cares about per-point isolation rather than
-        cache seeding, so this skips ``_missing_cells``/``cache_put``
-        and just runs the shards, absorbing telemetry and outcome
-        counters into the parent registry exactly like ``run``.
+        ``worker(point, store_dir)`` defaults to the service worker; a
+        result carrying an ``error`` is returned but not recorded.  Shard
+        telemetry, memo totals and outcome counters land in the current
+        registry.  Returns each point's worker result and shard report.
         """
-        worker = worker or _service_worker
+        points = list(dict.fromkeys(points))
         with self._lock:
             values, reports = run_shards(
-                payloads, worker,
+                points,
+                functools.partial(worker or _service_worker,
+                                  store_dir=self.store_dir),
                 num_workers=self.num_workers, timeout_s=self.timeout_s,
-                labels=list(labels), kinds=["cell"] * len(payloads),
+                labels=[p.label for p in points],
             )
-            self._absorb_shard_telemetry(reports, values)
-        return values, reports
-
-    def warm_cells(
-        self,
-        names: Optional[Sequence[str]] = None,
-        options: Optional[ExperimentOptions] = None,
-    ) -> List[ShardReport]:
-        """Precompute the sweep cells the named experiments need and
-        seed the in-process runner cache (no figure generation)."""
-        options = options or ExperimentOptions()
-        names = list(names) if names is not None else list(experiment_names())
-        experiments = [get_experiment(n) for n in names]
-        with self._lock:
-            cells = self._missing_cells(experiments, options)
-            payloads = [self._cell_payload(wl, tech, options)
-                        for wl, tech in cells]
-            values, reports = run_shards(
-                payloads, _service_worker,
-                num_workers=self.num_workers, timeout_s=self.timeout_s,
-                labels=[f"{wl}x{tech}" for wl, tech in cells],
-                kinds=["cell"] * len(cells),
-            )
-            self._absorb_shard_telemetry(reports, values)
-            for (wl, tech), value in zip(cells, values):
-                cache_put(
-                    cache_key(wl, tech, options.scale, None,
-                              options.config, options.seed),
-                    value["value"],
-                )
-        return reports
-
-    @staticmethod
-    def _absorb_shard_telemetry(reports: List[ShardReport],
-                                values: List[Dict]) -> None:
-        """Copy memo totals onto the reports and fold every shard's
-        telemetry dump -- plus outcome/retry counters -- into the
-        parent's process-local registry."""
-        reg = obs.registry()
-        for report, value in zip(reports, values):
-            report.memo_hits = value["memo_hits"]
-            report.memo_misses = value["memo_misses"]
-            reg.merge_dict(value.get("telemetry"))
-            reg.count(f"service.shards_{report.outcome}")
-            if report.attempts > 1:
-                reg.count("service.shard_retries", report.attempts - 1)
+            reg = obs.registry()
+            for p, value, report in zip(points, values, reports):
+                report.memo_hits = value["memo_hits"]
+                report.memo_misses = value["memo_misses"]
+                reg.merge_dict(value.get("telemetry"))
+                reg.count(f"service.shards_{report.outcome}")
+                if report.attempts > 1:
+                    reg.count("service.shard_retries", report.attempts - 1)
+                if value.get("error") is None:
+                    record_point(p, value["value"])
+        return {p: (value, report)
+                for p, value, report in zip(points, values, reports)}
 
     def install_store_memo(self, config=None) -> Callable[[], None]:
         """Point in-process runs at the persistent store.
 
-        Swaps the runner's process-wide memo (and the machine-level
-        default) for a store-backed one; returns a restore callable
-        that flushes learned entries and reinstates the previous memos.
-        No-op when the service runs storeless.
+        Installs a store-backed memo as the machine-level default;
+        returns a restore callable that flushes learned entries and
+        reinstates the previous default.  No-op when the service runs
+        storeless.
         """
         if self.store is None:
             return lambda: None
         memo = memo_for(self.store, config or scaled_config(),
                         scope="inprocess")
-        prev_runner = runner.set_default_memo(memo)
-        prev_machine = set_default_replay_memo(memo)
+        prev = set_default_replay_memo(memo)
 
         def restore() -> None:
             memo.flush()
-            runner.set_default_memo(prev_runner)
-            set_default_replay_memo(prev_machine)
+            set_default_replay_memo(prev)
 
         return restore
 
     # ------------------------------------------------------------------
-    def _manifest(self, names, options: ExperimentOptions,
-                  reports: List[ShardReport], wall_s: float,
-                  warm_start: bool) -> Dict:
+    def manifest(self, names, options: ExperimentOptions,
+                 reports: List[ShardReport], wall_s: float,
+                 warm_start: bool) -> Dict:
+        """The run manifest of ``reports`` (see :func:`validate_manifest`)."""
         outcomes: Dict[str, int] = {}
         hits = misses = 0
         for r in reports:

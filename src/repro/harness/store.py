@@ -89,7 +89,7 @@ def _safe(part: str) -> str:
 
 def bucket_name(config: GPUConfig, scope: Optional[str] = None) -> str:
     """Store bucket for a GPU configuration: ``<engine>__<config name>``,
-    plus ``__<scope>`` for a shard scope (e.g. ``TRAF-coal``)."""
+    plus ``__<scope>`` for a shard scope (e.g. ``TRAFxcoal``)."""
     engine = resolve_engine_name(config)
     name = f"{engine}__{_safe(config.name)}"
     return f"{name}__{_safe(scope)}" if scope else name
@@ -293,10 +293,6 @@ class PersistentReplayMemo(ReplayMemo):
         super().put(key, stats)
         if len(self._store) != before:
             self._fresh[key] = stats
-
-    def clear(self) -> None:
-        super().clear()
-        self._fresh.clear()
 
     def flush(self) -> int:
         """Persist freshly learned entries; returns how many were new

@@ -14,7 +14,7 @@ published row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gpu.config import GPUConfig, scaled_config
 from ..gpu.isa import ROLE_DISPATCH_OVERHEAD, ROLE_LOAD_VTABLE
@@ -23,7 +23,7 @@ from ..workloads import WORKLOAD_REGISTRY, workload_names
 from ..workloads.microbench import ObjectMicrobench
 from .figures import FigureResult
 from .report import format_table
-from .runner import DEFAULT_SCALE, run_one
+from .runner import DEFAULT_SCALE, Point, evaluate, point, run_one
 
 
 @dataclass
@@ -58,29 +58,44 @@ def measure_access_counts(
     )
 
 
+#: techniques Table 1 measures
+TABLE1_TECHNIQUES = ("cuda", "sharedoa", "concord", "coal", "typepointer")
+
+
+def table1_points(
+    object_counts: Sequence[int] = (2048, 4096, 8192, 16384),
+    num_types: int = 4,
+    config: Optional[GPUConfig] = None,
+) -> Dict[Tuple[str, int], Point]:
+    """Table 1's runs, keyed by (technique, object count)."""
+    return {(tech, n): point(measure_access_counts, technique=tech,
+                             num_objects=n, num_types=num_types,
+                             config=config)
+            for tech in TABLE1_TECHNIQUES for n in object_counts}
+
+
 def table1_access_model(
     object_counts: Sequence[int] = (2048, 4096, 8192, 16384),
     num_types: int = 4,
     config: Optional[GPUConfig] = None,
 ) -> FigureResult:
     """Measure how operation A's accesses scale per technique."""
+    counts = evaluate(table1_points(object_counts, num_types, config))
     rows: List[List] = []
     values: Dict = {}
-    for tech in ("cuda", "sharedoa", "concord", "coal", "typepointer"):
-        for n in object_counts:
-            ac = measure_access_counts(tech, n, num_types, config)
-            op_a = ac.vtable_ptr_sectors + (
-                ac.lookup_sectors if tech == "coal" else 0
-            )
-            values[(tech, n)] = op_a
-            rows.append([tech, n, ac.vtable_ptr_sectors, ac.lookup_sectors])
+    for (tech, n), ac in counts.items():
+        op_a = ac.vtable_ptr_sectors + (
+            ac.lookup_sectors if tech == "coal" else 0
+        )
+        values[(tech, n)] = op_a
+        rows.append([tech, n, ac.vtable_ptr_sectors, ac.lookup_sectors])
     # summary: growth factor of op-A accesses from the smallest to the
     # largest object count (CUDA ~ objects ratio; COAL/TP ~ flat)
     lo, hi = object_counts[0], object_counts[-1]
     summary = {
         tech: (values[(tech, hi)] / values[(tech, lo)])
         if values[(tech, lo)] else 0.0
-        for tech in ("cuda", "sharedoa", "concord", "coal", "typepointer")
+        for tech in TABLE1_TECHNIQUES
     }
     table = format_table(
         ["technique", "objects", "A: vTable*/tag sectors", "A: lookup sectors"],

@@ -2,11 +2,11 @@
 
 The driver takes a :class:`~repro.sweep.spec.SweepSpec`, resolves its
 points, skips every point the result database already holds with
-status ``ok`` (resumability), and fans the rest through the
-:class:`~repro.harness.service.ExperimentService` process pool as
-cell shards -- the same worker path ``python -m repro all`` uses, so
-sweep points get the per-shard timeout / retry-once / serial-fallback
-contract and per-shard telemetry for free.
+status ``ok`` (resumability), and fans the rest through
+:meth:`~repro.harness.service.ExperimentService.run_points` as
+``run_one`` cell points -- the same worker path ``python -m repro all``
+uses, so sweep points get the per-shard timeout / retry-once /
+serial-fallback contract and per-shard telemetry for free.
 
 Points run in batches of roughly ``2 x num_workers`` shards; each
 point is committed to the database the moment its batch lands, so a
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from .. import faults
-from ..harness.runner import RunRecord
+from ..harness.runner import Point, RunRecord, cell_point
 from ..harness.service import DEFAULT_TIMEOUT_S, ExperimentService, _service_worker
 from ..harness.resultdb import ResultDB
 from .spec import SweepPoint, SweepSpec
@@ -63,7 +63,7 @@ def metrics_from_record(record: RunRecord) -> Dict[str, float]:
     return metrics
 
 
-def _point_worker(payload: Dict) -> Dict:
+def _point_worker(point: Point, store_dir: Optional[str] = None) -> Dict:
     """Cell worker with per-point failure isolation.
 
     Exceptions become an error result (recorded as one failed point)
@@ -72,7 +72,7 @@ def _point_worker(payload: Dict) -> Dict:
     scheduler's retry machinery.
     """
     try:
-        return _service_worker(payload)
+        return _service_worker(point, store_dir)
     except faults.FaultError:
         raise
     except Exception:
@@ -174,34 +174,17 @@ def _run_sweep(spec, rdb, *, num_workers, timeout_s, store_dir,
 
     for start in range(0, len(todo), batch_size):
         batch = todo[start:start + batch_size]
-        payloads = [_payload_for(p, service) for p in batch]
-        labels = [f"{p.workload}x{p.technique}@{p.point_id[:8]}"
-                  for p in batch]
-        values, shard_reports = service.run_point_shards(
-            payloads, labels, worker=_point_worker)
-        for point, value, shard in zip(batch, values, shard_reports):
+        runs = [cell_point(p.workload, p.technique, p.scale, p.iterations,
+                           p.build_config(), p.seed) for p in batch]
+        done = service.run_points(runs, worker=_point_worker)
+        for point, run in zip(batch, runs):
             faults.failpoint("sweep.point.record")
-            _record_point(rdb, report, point, value, shard)
+            _record_point(rdb, report, point, *done[run])
         say(f"  [{min(start + len(batch), len(todo))}/{len(todo)}] "
             f"{report.computed} ok, {report.failed} failed")
 
     report.wall_s = time.perf_counter() - t0
     return report
-
-
-def _payload_for(point: SweepPoint, service: ExperimentService) -> Dict:
-    cfg = point.build_config()
-    return {
-        "kind": "cell",
-        "workload": point.workload,
-        "technique": point.technique,
-        "scale": point.scale,
-        "iterations": point.iterations,
-        "config": cfg,
-        "seed": point.seed,
-        "store_dir": service.store_dir,
-        "scope": f"sweep-{point.workload}-{point.technique}",
-    }
 
 
 def _record_point(rdb: ResultDB, report: SweepRunReport,

@@ -38,11 +38,11 @@ _uid = [0]
 
 
 @given(
-    kinds=st.lists(st.integers(0, 3), min_size=1, max_size=96),
+    type_ids=st.lists(st.integers(0, 3), min_size=1, max_size=96),
     iterations=st.integers(1, 3),
 )
 @settings(max_examples=15, deadline=None)
-def test_dispatch_equivalence_property(kinds, iterations):
+def test_dispatch_equivalence_property(type_ids, iterations):
     """Any type mix, any iteration count: all techniques agree exactly."""
     results = {}
     for tech in ("cuda", "concord", "coal", "typepointer",
@@ -52,7 +52,7 @@ def test_dispatch_equivalence_property(kinds, iterations):
         base, leaves = _make_hierarchy(f"{tech}{_uid[0]}", 4)
         m.register(*leaves)
         ptrs = np.array(
-            [m.new_objects(leaves[k], 1)[0] for k in kinds], dtype=np.uint64
+            [m.new_objects(leaves[k], 1)[0] for k in type_ids], dtype=np.uint64
         )
         arr = m.array_from(ptrs, "u64")
 
@@ -67,7 +67,7 @@ def test_dispatch_equivalence_property(kinds, iterations):
             for p in ptrs
         )
         # ground truth: each object bumped (kind+1) per iteration
-        expect = tuple((k + 1) * iterations for k in kinds)
+        expect = tuple((k + 1) * iterations for k in type_ids)
         assert results[tech] == expect, tech
     assert len(set(results.values())) == 1
 

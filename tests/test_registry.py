@@ -59,18 +59,31 @@ def test_duplicate_registration_rejected():
         register(exp)
 
 
-def test_cells_declared_for_sweep_experiments():
-    # sweep-backed experiments declare their cells; self-sized ones don't
-    sweep = {"fig1", "table2", "fig6", "fig7", "fig8", "fig9", "fig11"}
+def _workloads(points):
+    return {dict(p.kwargs).get("workload") for p in points} - {None}
+
+
+def test_every_experiment_declares_points():
+    from repro.workloads import workload_names
+
+    # experiments that take options.workloads: exactly these name
+    # workloads in their points, and the restriction restricts them
+    sweep = {"fig1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10",
+             "fig11"}
+    wide = smoke_options(scale=0.04)
     for name in experiment_names():
         exp = get_experiment(name)
+        points = exp.points(QUICK)
+        assert points, name
+        assert points == exp.points(QUICK), name
+        assert len({hash(p) for p in points}) == len(set(points))
+        for p in points:
+            assert callable(p.resolve()), p.func
         if name in sweep:
-            cells = exp.cells(QUICK)
-            assert cells and all(len(c) == 2 for c in cells)
-            # restricted options restrict the cells
-            assert {wl for wl, _ in cells} == {"TRAF"}
+            assert _workloads(points) == {"TRAF"}, name
+            assert _workloads(exp.points(wide)) == set(workload_names())
         else:
-            assert exp.cells is None
+            assert not _workloads(exp.points(wide)), name
 
 
 def test_options_params_are_per_experiment():
@@ -88,7 +101,7 @@ def test_options_default_workloads_is_full_registry():
 
 def test_smoke_params_cover_the_self_sized_experiments():
     self_sized = {n for n in experiment_names()
-                  if get_experiment(n).cells is None}
+                  if not all(p.is_cell for p in get_experiment(n).points(QUICK))}
     assert self_sized <= set(SMOKE_PARAMS)
 
 

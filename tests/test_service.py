@@ -16,6 +16,7 @@ from repro.harness.registry import (
     get_experiment,
     smoke_options,
 )
+from repro.harness.runner import missing_points
 from repro.harness.service import (
     MANIFEST_SCHEMA,
     ExperimentService,
@@ -181,7 +182,9 @@ def test_manifest_records_every_shard(tmp_path):
     assert m["experiments"] == list(experiment_names())
     assert m["totals"]["shards"] == len(m["shards"]) == len(run.reports)
     for shard in m["shards"]:
-        assert shard["kind"] in ("cell", "experiment")
+        # one kind of shard: a point, never a whole experiment
+        assert "kind" not in shard
+        assert shard["shard"] not in experiment_names()
         assert shard["outcome"] in ("ok", "retried", "timeout", "fallback")
         assert shard["wall_s"] >= 0
     # the manifest landed on disk as JSON
@@ -212,14 +215,37 @@ def test_service_runs_subset_of_registry():
     assert "speedup" in run.render("init")
 
 
-def test_warm_cells_seeds_the_runner_cache():
+def test_run_points_seeds_the_runner_cache():
     service = ExperimentService(2, use_store=False)
-    reports = service.warm_cells(["fig6"], QUICK)
-    assert reports  # something was computed
+    points = get_experiment("fig6").points(QUICK)
+    done = service.run_points(missing_points(points))
+    assert done  # something was computed
+    for p, (value, _) in done.items():
+        assert runner.cache_get(runner.cache_key(**dict(p.kwargs))) \
+            is value["value"]
     # every fig6 cell is now a cache hit: no new shards needed
-    assert service._missing_cells([get_experiment("fig6")], QUICK) == []
-    # and rerunning warm_cells finds nothing to do
-    assert service.warm_cells(["fig6"], QUICK) == []
+    assert missing_points(points) == []
+    assert service.run_points(missing_points(points)) == {}
+
+
+def test_shared_points_run_once():
+    """Figure 10's CUDA references are Figure 6's cells: one shard per
+    distinct point, and Figure 10 never runs them a second time."""
+    run = ExperimentService(2, use_store=False).run(["fig6", "fig10"], QUICK)
+    distinct = (set(get_experiment("fig6").points(QUICK))
+                | set(get_experiment("fig10").points(QUICK)))
+    labels = [r.shard for r in run.reports]
+    assert len(labels) == len(set(labels)) == len(distinct)
+    assert labels.count("TRAFxcuda") == 1
+    # every executed run_one was a worker shard, none ran in the parent
+    counters = run.manifest["telemetry"]["counters"]
+    assert counters["runner.cache_misses"] == sum(p.is_cell for p in distinct)
+
+
+def _default_memo():
+    from repro.gpu import machine
+
+    return machine._DEFAULT_MEMO
 
 
 def test_install_store_memo_persists_inprocess_runs(tmp_path):
@@ -236,17 +262,17 @@ def test_install_store_memo_persists_inprocess_runs(tmp_path):
     restore2 = service2.install_store_memo()
     try:
         runner.run_one("TRAF", "cuda", scale=0.04, use_cache=False)
-        assert runner.REPLAY_MEMO.hits > 0
-        assert runner.REPLAY_MEMO.misses == 0
+        assert _default_memo().hits > 0
+        assert _default_memo().misses == 0
     finally:
         restore2()
 
 
 def test_install_store_memo_noop_without_store():
     service = ExperimentService(1, use_store=False)
-    before = runner.REPLAY_MEMO
+    before = _default_memo()
     restore = service.install_store_memo()
-    assert runner.REPLAY_MEMO is before
+    assert _default_memo() is before
     restore()
 
 

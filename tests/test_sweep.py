@@ -201,10 +201,10 @@ def test_point_failure_is_isolated(tmp_path, monkeypatch):
 
     real = driver._service_worker
 
-    def flaky(payload):
-        if payload["config"].l1.size_bytes == 8192:
+    def flaky(point, store_dir=None):
+        if point.config.l1.size_bytes == 8192:
             raise RuntimeError("injected point failure")
-        return real(payload)
+        return real(point, store_dir)
 
     monkeypatch.setattr(driver, "_service_worker", flaky)
     db_path = tmp_path / "r.sqlite"
