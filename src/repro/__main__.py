@@ -13,8 +13,7 @@ Usage::
     python -m repro fuzz 100                   # differential dispatch fuzzing
     python -m repro fuzz 100 --frontend        # ...through the DSL front-end
     python -m repro kernel my_kernels.py       # run a user kernel program
-    python -m repro selfbench                  # time the replay engines
-    python -m repro selfbench service          # serial vs parallel vs warm
+    python -m repro selfbench                  # engine gate: fused vs reference
     python -m repro serve --port 7453          # experiment-serving daemon
     python -m repro submit fig6 --quick        # submit to a running daemon
     python -m repro status                     # daemon queue/cache status
@@ -259,9 +258,11 @@ def main(argv=None) -> int:
                         help="experiment id (see 'list'), 'all', 'list', "
                              "'disasm' or 'profile'")
     parser.add_argument("target", nargs="?", default=None,
-                        help="technique for 'disasm'; workload for 'profile' "
-                             f"(techniques: {', '.join(technique_names())}); "
-                             "'service' or 'serve' for 'selfbench'")
+                        help="technique for 'disasm'; workload or "
+                             "experiment for 'profile' (techniques: "
+                             f"{', '.join(technique_names())}); program "
+                             "file for 'kernel'; program count for "
+                             "'fuzz'")
     parser.add_argument("--technique", default="typepointer",
                         help="technique for 'profile' (default typepointer)")
     parser.add_argument("--techniques", default=None,
@@ -285,8 +286,8 @@ def main(argv=None) -> int:
                         help="shrink the self-sized experiments to smoke "
                              "size (CI; pair with a small --scale)")
     parser.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker processes for 'all' / 'selfbench "
-                             "service' (default: min(8, cpu count))")
+                        help="worker processes for 'all' "
+                             "(default: min(8, cpu count))")
     parser.add_argument("--serial", action="store_true",
                         help="run 'all' in-process (no worker pool)")
     parser.add_argument("--no-store", action="store_true",
@@ -304,12 +305,8 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=_positive_float, default=900.0,
                         help="per-shard timeout in seconds (default 900)")
     parser.add_argument("--output", default=None,
-                        help="output path for 'selfbench' "
-                             "(default BENCH_pipeline.json / "
-                             "BENCH_service.json)")
-    parser.add_argument("--repeats", type=int, default=1,
-                        help="timing repeats per cell for 'selfbench' "
-                             "(fastest kept; default 1)")
+                        help="report path for 'selfbench' "
+                             "(default BENCH_pipeline.json)")
     args = parser.parse_args(argv)
     args.config_obj = _config_from(args, parser)
 
@@ -333,44 +330,19 @@ def main(argv=None) -> int:
     if args.experiment == "list":
         for name in experiment_names():
             print(f"{name:8s} {get_experiment(name).description}")
-        print("plus: all | disasm | profile | fuzz | selfbench [service|"
-              "serve] | serve | submit | status | drain | cluster | "
-              "loadtest | chaos [--cluster] | sweep "
-              "[run|ls|show|query|report|import]")
+        print("plus: all | disasm | profile | fuzz | selfbench | serve | "
+              "submit | status | drain | cluster | loadtest | "
+              "chaos [--cluster] | sweep [run|ls|show|query|report|import]")
         return 0
 
     if args.experiment == "selfbench":
-        if args.target == "service":
-            from .harness.selfbench import (
-                DEFAULT_SERVICE_OUTPUT,
-                format_service_report,
-                run_service_bench,
-            )
+        if args.target is not None:
+            parser.error(
+                f"'selfbench' takes no target (got {args.target!r}); it is "
+                "only the engine gate.  The service is timed by "
+                "'perfbench/run.py --workload all-cold|all-warm', serving "
+                "load by 'python -m repro loadtest'")
 
-            out = args.output or DEFAULT_SERVICE_OUTPUT
-            workloads = (tuple(w for w in args.workloads.split(",") if w)
-                         if args.workloads else None)
-            report = run_service_bench(
-                scale=args.scale, workers=args.workers,
-                workloads=workloads, output=out,
-                store_dir=args.store_dir, timeout_s=args.timeout,
-            )
-            print(format_service_report(report))
-            print(f"wrote {out}")
-            return 0 if report["ok"] else 1
-
-        if args.target == "serve":
-            from .harness.selfbench import DEFAULT_SERVE_OUTPUT, run_serve_bench
-            from .serve.loadtest import format_report as _format_loadtest
-
-            out = args.output or DEFAULT_SERVE_OUTPUT
-            report = run_serve_bench(
-                workers=args.workers or 3, output=out)
-            print(_format_loadtest(report))
-            print(f"wrote {out}")
-            return 0 if report["ok"] else 1
-
-        from .harness.resultdb import default_db_path
         from .harness.selfbench import DEFAULT_OUTPUT, format_report, run_selfbench
 
         out = args.output or DEFAULT_OUTPUT
@@ -378,17 +350,10 @@ def main(argv=None) -> int:
                      if args.workloads else None)
         t0 = time.time()
         report = run_selfbench(workloads=workloads, scale=args.scale,
-                               output=out, repeats=args.repeats,
-                               db_path=default_db_path())
+                               output=out)
         print(format_report(report))
         print(f"wrote {out} [{time.time() - t0:.1f}s]")
-        if "resultdb" in report:
-            print(f"recorded {report['resultdb']['points']} points into "
-                  f"{default_db_path()}")
-        ok = (report["counters_match"]
-              and report["telemetry_overhead"]["ok"]
-              and report["failpoint_overhead"]["ok"])
-        return 0 if ok else 1
+        return 0 if report["counters_match"] else 1
 
     if args.experiment == "disasm":
         target = args.target or "typepointer"
@@ -442,7 +407,7 @@ def main(argv=None) -> int:
             # render the span tree + counters it recorded
             from . import obs
 
-            reg = obs.Registry(enabled=True)
+            reg = obs.Registry()
             prev = obs.set_registry(reg)
             try:
                 exp = get_experiment(args.target)

@@ -12,15 +12,16 @@ bytes, kill the worker process, or drop the connection at chosen hit
 counts.  See DESIGN.md §5.5 for the failpoint catalog and the chaos
 invariants.
 
-Call sites MUST go through the module attributes (``faults.failpoint``,
-``faults.mangle``) rather than importing the functions directly:
-:func:`set_bypass` swaps the attributes for bare no-op stubs, which is
-how selfbench measures the overhead the disabled checkpoints add to the
-warm path (gated <1%).
+Checkpoints sit on recovery seams only (store I/O, service shards,
+serve frames, export writes), never on the simulation path: a storeless
+``run_one`` reaches none, and a store-backed one reaches
+``store.bucket.read`` once per loaded row and ``store.bucket.flush``
+once per flush.  ``tests/test_faults.py`` counts those hits through the
+``faults.failpoint`` / ``faults.mangle`` attributes, which is why call
+sites reference them through this module.
 """
 from __future__ import annotations
 
-from . import core as _core
 from .core import (
     ACTIONS,
     ERRORING_ACTIONS,
@@ -31,7 +32,9 @@ from .core import (
     declare,
     declared,
     disarm,
+    failpoint,
     fault_of,
+    mangle,
     note_retried,
     note_surfaced,
 )
@@ -49,36 +52,7 @@ __all__ = [
     "FaultError", "InjectedFault", "InjectedCorruption",
     "InjectedDisconnect",
     "FaultSchedule", "ScheduleEntry", "RetryPolicy",
-    "failpoint", "mangle", "set_bypass",
+    "failpoint", "mangle",
     "declare", "declared", "arm", "disarm", "active",
     "corrupt_bytes", "fault_of", "note_retried", "note_surfaced",
 ]
-
-#: live checkpoints -- module attributes on purpose (see set_bypass)
-failpoint = _core.failpoint
-mangle = _core.mangle
-
-
-def _bypass_failpoint(name):  # pragma: no cover -- trivial
-    return None
-
-
-def _bypass_mangle(name, data):  # pragma: no cover -- trivial
-    return data
-
-
-def set_bypass(enabled: bool) -> None:
-    """Swap the checkpoint entry points for bare no-op stubs.
-
-    Benchmark-only: lets selfbench compare the warm path with the real
-    (disabled) checkpoints against truly absent ones, to price the
-    registry's fast path.  Call sites reference ``faults.failpoint`` at
-    call time, so the swap takes effect everywhere immediately.
-    """
-    global failpoint, mangle
-    if enabled:
-        failpoint = _bypass_failpoint
-        mangle = _bypass_mangle
-    else:
-        failpoint = _core.failpoint
-        mangle = _core.mangle

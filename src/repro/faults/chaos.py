@@ -176,7 +176,7 @@ def _check_store(tmp: Path, result: SeedResult) -> None:
     store = ReplayMemoStore(tmp / "store")
     if not store.path.exists():
         return
-    probe = obs.Registry(enabled=True)
+    probe = obs.Registry()
     prev = obs.set_registry(probe)
     try:
         with closing(connect(store.path)) as conn:

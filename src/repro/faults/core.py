@@ -9,8 +9,9 @@ the production code::
     raw = faults.mangle("store.bucket.read", raw)   # data point
 
 Disabled (no schedule armed -- the normal state), both calls are a
-module-global ``None`` check and return immediately; ``python -m repro
-selfbench`` gates that tax at <1% of the warm path.  Armed, each call
+module-global ``None`` check and return immediately, and no checkpoint
+sits on the per-warp simulation path (see the package docstring).
+Armed, each call
 bumps a per-name hit counter and fires whatever actions the active
 :class:`~repro.faults.schedule.FaultSchedule` attached to that name and
 hit count.

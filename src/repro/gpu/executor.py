@@ -366,7 +366,6 @@ def launch(machine: "Machine", kernel, num_threads: int) -> KernelStats:
 
         # phase timings (capture -> coalesce -> replay) accumulate
         # locally and land in the registry once per launch
-        track = reg.enabled
         perf = time.perf_counter
         t_capture = t_coalesce = t_replay = 0.0
         num_waves = 0
@@ -375,7 +374,7 @@ def launch(machine: "Machine", kernel, num_threads: int) -> KernelStats:
             num_waves += 1
             wave_end = min(wave_start + wave_size, num_warps)
             traces = []
-            t0 = perf() if track else 0.0
+            t0 = perf()
             for warp_id in range(wave_start, wave_end):
                 lo = warp_id * WARP_SIZE
                 hi = min(lo + WARP_SIZE, num_threads)
@@ -384,26 +383,19 @@ def launch(machine: "Machine", kernel, num_threads: int) -> KernelStats:
                     machine, warp_id, warp_id % num_sms, tid, stats
                 )
                 kernel(ctx)
-                if track:
-                    tc = perf()
-                    traces.append(ctx.trace.finalize(stats))
-                    t_coalesce += perf() - tc
-                else:
-                    traces.append(ctx.trace.finalize(stats))
-            if track:
-                t1 = perf()
-                t_capture += t1 - t0
-                machine.replay_wave(traces, stats)
-                t_replay += perf() - t1
-            else:
-                machine.replay_wave(traces, stats)
+                tc = perf()
+                traces.append(ctx.trace.finalize(stats))
+                t_coalesce += perf() - tc
+            t1 = perf()
+            t_capture += t1 - t0
+            machine.replay_wave(traces, stats)
+            t_replay += perf() - t1
 
         from .timing import finalize_timing
 
         finalize_timing(stats, machine.config)
-        if track:
-            reg.add_time("machine.capture", t_capture - t_coalesce,
-                         count=num_waves)
-            reg.add_time("machine.coalesce", t_coalesce, count=num_warps)
-            reg.add_time("machine.replay", t_replay, count=num_waves)
+        reg.add_time("machine.capture", t_capture - t_coalesce,
+                     count=num_waves)
+        reg.add_time("machine.coalesce", t_coalesce, count=num_warps)
+        reg.add_time("machine.replay", t_replay, count=num_waves)
     return stats

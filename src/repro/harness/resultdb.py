@@ -182,12 +182,20 @@ class ResultDB:
     def commit(self) -> None:
         self._conn.commit()
 
+    def rollback(self) -> None:
+        self._conn.rollback()
+
     # ------------------------------------------------------------------
     # runs
     # ------------------------------------------------------------------
     def begin_run(self, kind: str, name: Optional[str] = None,
-                  spec: Any = None, source: Optional[str] = None) -> str:
-        """Record one sweep invocation / import; returns its run_id."""
+                  spec: Any = None, source: Optional[str] = None,
+                  commit: bool = True) -> str:
+        """Record one sweep invocation / import; returns its run_id.
+
+        With ``commit=False`` the row joins the open transaction, so it
+        lands together with the points recorded after it, or not at all.
+        """
         run_id = f"{kind}-{uuid.uuid4().hex[:12]}"
         self._conn.execute(
             "INSERT INTO runs (run_id, kind, name, spec_json, source, "
@@ -195,7 +203,8 @@ class ResultDB:
             (run_id, kind, name,
              canonical_json(spec) if spec is not None else None,
              source, time.time()))
-        self._conn.commit()
+        if commit:
+            self._conn.commit()
         return run_id
 
     def runs(self) -> List[Dict[str, Any]]:
@@ -430,7 +439,7 @@ def _matches(row: Mapping[str, Any], where: Mapping[str, Any]) -> bool:
 #: BENCH schema tag -> importer kind
 _IMPORT_KINDS = {
     "repro-selfbench/2": "bench-pipeline",
-    "repro-service-bench/1": "bench-service",
+    "repro-selfbench/3": "bench-pipeline",
     "repro-loadtest/1": "bench-serve",
 }
 
@@ -444,14 +453,25 @@ def _import_point_id(kind: str, identity: Mapping[str, Any]) -> str:
     return content_id({"import": kind, **identity})
 
 
+def _object(value: Any, where: str, required: Sequence[str] = ()) -> Dict:
+    """``value`` as a JSON object holding ``required``, or ResultDBError."""
+    if not isinstance(value, dict):
+        raise ResultDBError(f"{where}: expected an object, got {value!r:.60}")
+    missing = [f for f in required if f not in value]
+    if missing:
+        raise ResultDBError(f"{where}: missing {', '.join(missing)}")
+    return value
+
+
 def import_bench_file(db: ResultDB, path: Any) -> Dict[str, Any]:
     """Import one ``BENCH_*.json`` blob; returns an import summary.
 
     Dispatches on the payload's ``schema`` tag
-    (``repro-selfbench/2`` / ``repro-service-bench/1`` /
-    ``repro-loadtest/1``).  Point IDs are deterministic over the entry
-    identity, so re-importing the same file upserts instead of
-    duplicating.
+    (``repro-selfbench/2`` and ``/3`` / ``repro-loadtest/1``).  Point
+    IDs are deterministic over the entry identity, so re-importing the
+    same file upserts instead of duplicating.  The run row and its
+    points commit in one transaction: a malformed entry raises
+    :class:`ResultDBError` and records nothing.
     """
     path = Path(path)
     payload = json.loads(path.read_text())
@@ -461,14 +481,19 @@ def import_bench_file(db: ResultDB, path: Any) -> Dict[str, Any]:
         raise ResultDBError(
             f"{path}: unknown BENCH schema {schema!r} (known: "
             f"{', '.join(sorted(_IMPORT_KINDS))})")
+    importer = (_import_selfbench if kind == "bench-pipeline"
+                else _import_loadtest)
     run_id = db.begin_run(f"import-{kind}", name=path.name,
-                          spec={"schema": schema}, source=str(path))
-    if kind == "bench-pipeline":
-        n = _import_selfbench(db, run_id, payload)
-    elif kind == "bench-service":
-        n = _import_service_bench(db, run_id, payload)
-    else:
-        n = _import_loadtest(db, run_id, payload)
+                          spec={"schema": schema}, source=str(path),
+                          commit=False)
+    try:
+        n = importer(db, run_id, payload)
+    except ResultDBError as exc:
+        db.rollback()
+        raise ResultDBError(f"{path}: {exc}") from None
+    except BaseException:
+        db.rollback()
+        raise
     db.commit()
     return {"run_id": run_id, "kind": kind, "points": n,
             "source": str(path)}
@@ -479,7 +504,11 @@ def _import_selfbench(db: ResultDB, run_id: str, payload: Dict) -> int:
     seed = payload.get("seed")
     config = payload.get("config")
     n = 0
-    for entry in payload.get("runs", []):
+    runs = payload.get("runs", [])
+    if not isinstance(runs, list):
+        raise ResultDBError(f"runs: expected a list, got {runs!r:.60}")
+    for i, entry in enumerate(runs):
+        _object(entry, f"runs[{i}]", ("workload", "technique", "engine"))
         identity = {
             "workload": entry["workload"], "technique": entry["technique"],
             "engine": entry["engine"], "scale": scale, "seed": seed,
@@ -500,43 +529,13 @@ def _import_selfbench(db: ResultDB, run_id: str, payload: Dict) -> int:
     return n
 
 
-def _import_service_bench(db: ResultDB, run_id: str, payload: Dict) -> int:
-    n = 0
-    for tag, phase in payload.get("phases", {}).items():
-        identity = {"phase": tag, "workers": payload.get("workers"),
-                    "scale": payload.get("scale"),
-                    "experiments": payload.get("experiments")}
-        totals = phase.get("totals", {})
-        db.record_point(
-            run_id, _import_point_id("bench-service", identity),
-            sweep="bench:service",
-            workload=None, technique=None,
-            scale=payload.get("scale"), seed=None, iterations=None,
-            base_config=None, spec=identity, status="ok", outcome="ok",
-            wall_s=phase.get("wall_s"),
-            knobs={"phase": tag, "workers": payload.get("workers"),
-                   "mode": phase.get("mode"),
-                   "warm_start": phase.get("warm_start")},
-            metrics={
-                "wall_s": phase.get("wall_s"),
-                "shards": totals.get("shards"),
-                "memo_hits": totals.get("memo_hits"),
-                "memo_misses": totals.get("memo_misses"),
-                "memo_hit_rate": totals.get("memo_hit_rate"),
-            },
-            commit=False,
-        )
-        n += 1
-    return n
-
-
 def _import_loadtest(db: ResultDB, run_id: str, payload: Dict) -> int:
-    spec = payload.get("spec", {})
+    spec = _object(payload.get("spec", {}), "spec")
     identity = {"spec": spec, "mode": payload.get("mode"),
                 "workers": payload.get("workers"),
                 "requests": payload.get("requests")}
-    lat = payload.get("latency_s", {})
-    cluster = payload.get("cluster") or {}
+    lat = _object(payload.get("latency_s", {}), "latency_s")
+    cluster = _object(payload.get("cluster") or {}, "cluster")
     db.record_point(
         run_id, _import_point_id("bench-serve", identity),
         sweep="bench:serve",

@@ -502,8 +502,7 @@ class ExperimentService:
                     manifest_path)
             finally:
                 obs.set_registry(prev_reg)
-                if prev_reg.enabled:
-                    prev_reg.merge_dict(run_reg.to_dict())
+                prev_reg.merge_dict(run_reg.to_dict())
         return run
 
     def _run_under_registry(self, names, experiments, options, warm_start,

@@ -13,11 +13,12 @@ process-local :class:`Registry`:
 * **counters** are named monotonic integers (``machine.memo_hits``,
   ``store.bucket_corrupt``, ``store.bucket_version_mismatch``, ...).
 
-The whole layer is built to be cheap enough to leave on: counter bumps
-are one dict update, spans two ``perf_counter`` calls; ``python -m
-repro selfbench`` asserts the warm-path overhead stays under 2%
-(``telemetry_overhead`` in ``BENCH_pipeline.json``).  Set ``REPRO_OBS=0``
-to hard-disable every probe anyway.
+The layer is always on, and built to be cheap enough for that: counter
+bumps are one dict update, spans two ``perf_counter`` calls.  Probes sit
+at launch, wave and layer boundaries, never on the per-warp simulation
+path: no probe fires inside a kernel body, ``MemoryTrace.finalize`` or
+a ``ReplayEngine.replay_wave`` (``tests/test_obs.py`` checks this over
+every workload), so their cost does not scale with the simulated work.
 
 Serialisation: :meth:`Registry.to_dict` emits a JSON-safe payload
 (:data:`SCHEMA`), :meth:`Registry.merge_dict` folds another process's
@@ -43,15 +44,6 @@ from typing import Dict, Iterable, List, Optional
 
 #: payload schema tag, bumped when the layout changes
 SCHEMA = "repro-obs/1"
-
-#: environment kill-switch: set to 0/false/off to disable all probes
-OBS_ENV_VAR = "REPRO_OBS"
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(OBS_ENV_VAR, "1").lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 class SpanNode:
@@ -120,24 +112,10 @@ class _SpanContext:
         return False
 
 
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
-
-
 class Registry:
     """Process-local span tree + counter map."""
 
-    def __init__(self, enabled: Optional[bool] = None):
-        self.enabled = _env_enabled() if enabled is None else enabled
+    def __init__(self):
         self.counters: Dict[str, int] = {}
         self.root = SpanNode("<root>")
         self._stack: List[SpanNode] = [self.root]
@@ -146,17 +124,15 @@ class Registry:
     # recording
     # ------------------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
-        if self.enabled:
-            c = self.counters
-            c[name] = c.get(name, 0) + n
+        c = self.counters
+        c[name] = c.get(name, 0) + n
 
     def add_time(self, name: str, seconds: float, count: int = 1) -> None:
         """Fold an externally measured duration in as a child of the
         current span (the no-context-manager fast path for hot loops)."""
-        if self.enabled:
-            node = self._stack[-1].child(name)
-            node.count += count
-            node.total_s += seconds
+        node = self._stack[-1].child(name)
+        node.count += count
+        node.total_s += seconds
 
     def add_root_time(self, name: str, seconds: float,
                       count: int = 1) -> None:
@@ -165,15 +141,12 @@ class Registry:
         time overlaps whatever span the owning thread currently has
         open, so nesting there would break the children-<=-parent
         invariant -- same reason worker merges land at the root."""
-        if self.enabled:
-            node = self.root.child(name)
-            node.count += count
-            node.total_s += seconds
+        node = self.root.child(name)
+        node.count += count
+        node.total_s += seconds
 
     def span(self, name: str):
         """``with registry.span("store.bucket_merge"): ...``"""
-        if not self.enabled:
-            return _NULL_CONTEXT
         return _SpanContext(self, name)
 
     def reset(self) -> None:
@@ -226,10 +199,8 @@ def set_registry(reg: Registry) -> Registry:
 
 
 def count(name: str, n: int = 1) -> None:
-    reg = _REGISTRY
-    if reg.enabled:
-        c = reg.counters
-        c[name] = c.get(name, 0) + n
+    c = _REGISTRY.counters
+    c[name] = c.get(name, 0) + n
 
 
 def add_time(name: str, seconds: float, count: int = 1) -> None:
@@ -244,24 +215,13 @@ def span(name: str):
     return _REGISTRY.span(name)
 
 
-def enabled() -> bool:
-    return _REGISTRY.enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Toggle the process-wide registry's probes; returns the old flag."""
-    reg = _REGISTRY
-    old, reg.enabled = reg.enabled, flag
-    return old
-
-
 def snapshot() -> Dict:
     return _REGISTRY.to_dict()
 
 
 def merge_payloads(payloads: Iterable[Optional[Dict]]) -> Dict:
     """Merge several registry dumps into one fresh payload."""
-    merged = Registry(enabled=True)
+    merged = Registry()
     for p in payloads:
         merged.merge_dict(p)
     return merged.to_dict()

@@ -20,8 +20,9 @@ endpoint in one of two modes:
 
 The report (schema ``repro-loadtest/1``, default ``BENCH_serve.json``)
 carries p50/p95/p99 latency, throughput, dedup/cache hit rates and the
-shed fraction, and :func:`validate_loadtest_report` schema-checks it
-the same way the other BENCH writers do.
+shed fraction, and :func:`validate_loadtest_report` schema-checks it.
+This is the one serving-load benchmark; ``python -m repro sweep
+import`` records a report into the sweep result database.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .client import ServeClient, ServeError
 #: report schema tag
 SCHEMA = "repro-loadtest/1"
 
-#: default report path (sibling of BENCH_pipeline/BENCH_service)
+#: default report path (gitignored at the repository root)
 DEFAULT_OUTPUT = "BENCH_serve.json"
 
 #: default synthetic per-job cost when the loadtest boots its own

@@ -311,19 +311,24 @@ def test_profile_experiment_renders_span_tree(capsys):
     assert "machine.launches" in out
 
 
-def test_selfbench_service_subcommand(capsys, tmp_path):
-    out_path = tmp_path / "BENCH_service.json"
-    assert main([
-        "selfbench", "service", "--scale", "0.04",
-        "--workers", "2", "--workloads", "TRAF",
-        "--output", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "service bench" in out
-    report = json.loads(out_path.read_text())
-    assert report["ok"] is True
-    assert report["renders_match"] is True
-    assert report["warm_store_hit"] is True
-    for phase in ("serial_cold", "parallel_cold", "warm_store"):
-        assert phase in report["phases"]
-    assert report["speedup_vs_serial_cold"]["warm_store"] > 0
+@pytest.mark.parametrize("target", ["service", "serve"])
+def test_selfbench_targets_exit_2_with_hint(target, capsys, monkeypatch,
+                                            tmp_path):
+    # selfbench is only the engine gate: a target is refused before any
+    # benchmark, service or cluster starts
+    from repro.harness.service import ExperimentService
+    from repro.serve import loadtest
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a retired benchmark started")
+
+    monkeypatch.setattr(ExperimentService, "run", must_not_run)
+    monkeypatch.setattr(loadtest, "run_loadtest", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["selfbench", target, "--scale", "0.04"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "perfbench/run.py --workload all-cold|all-warm" in err
+    assert "repro loadtest" in err
+    assert list(tmp_path.iterdir()) == []

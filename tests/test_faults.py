@@ -140,17 +140,50 @@ def test_once_token_claimed_exactly_once(tmp_path):
         assert armed.consumed() == [("p", "raise")]
 
 
-def test_set_bypass_swaps_checkpoints():
-    sched = FaultSchedule(0, [ScheduleEntry("p", "raise")])
-    with sched.armed():
-        faults.set_bypass(True)
-        try:
-            faults.failpoint("p")                   # stubbed out
-            assert faults.mangle("p", b"ab") == b"ab"
-        finally:
-            faults.set_bypass(False)
-        with pytest.raises(InjectedFault):
-            faults.failpoint("p")
+def test_disarmed_failpoints_stay_off_the_simulation_path(monkeypatch,
+                                                         tmp_path):
+    # checkpoints guard recovery seams, not the per-warp simulation:
+    # disarmed, a storeless run reaches none, and a store-backed run
+    # reaches only its store reads and flushes
+    from collections import Counter
+
+    from repro.gpu.config import scaled_config
+    from repro.harness.runner import ReplayMemo, run_one
+    from repro.harness.store import ReplayMemoStore, memo_for
+
+    hits = Counter()
+    real_failpoint, real_mangle = faults.failpoint, faults.mangle
+
+    def failpoint(name):
+        hits[name] += 1
+        return real_failpoint(name)
+
+    def mangle(name, data):
+        hits[name] += 1
+        return real_mangle(name, data)
+
+    monkeypatch.setattr(faults, "failpoint", failpoint)
+    monkeypatch.setattr(faults, "mangle", mangle)
+    assert faults.active() is None
+
+    run_one("TRAF", "coal", scale=0.05, use_cache=False, memo=ReplayMemo())
+    assert not hits
+
+    store = ReplayMemoStore(tmp_path / "store")
+    cfg = scaled_config()
+    cold = memo_for(store, cfg)
+    run_one("TRAF", "coal", scale=0.05, use_cache=False, memo=cold)
+    assert not hits
+    assert cold.flush() > 0
+    assert hits == {"store.bucket.flush": 1}
+
+    hits.clear()
+    warm = memo_for(store, cfg)
+    assert warm.preloaded > 0
+    assert hits == {"store.bucket.read": warm.preloaded}
+    run_one("TRAF", "coal", scale=0.05, use_cache=False, memo=warm)
+    assert warm.flush() == 0                    # all hits: nothing fresh
+    assert hits == {"store.bucket.read": warm.preloaded}
 
 
 # ----------------------------------------------------------------------

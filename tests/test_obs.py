@@ -10,7 +10,7 @@ from repro import obs
 @pytest.fixture
 def reg():
     """A fresh registry installed as the process-wide one."""
-    fresh = obs.Registry(enabled=True)
+    fresh = obs.Registry()
     prev = obs.set_registry(fresh)
     try:
         yield fresh
@@ -23,15 +23,6 @@ class TestCounters:
         obs.count("a.b")
         obs.count("a.b", 4)
         assert reg.counters == {"a.b": 5}
-
-    def test_disabled_is_a_noop(self, reg):
-        obs.set_enabled(False)
-        obs.count("a.b")
-        with obs.span("x"):
-            pass
-        obs.add_time("y", 1.0)
-        assert reg.counters == {}
-        assert reg.root.children == {}
 
 
 class TestSpans:
@@ -85,7 +76,7 @@ class TestSerialization:
         payload = json.loads(json.dumps(reg.to_dict()))
         assert payload["schema"] == obs.SCHEMA
         obs.validate_payload(payload)
-        other = obs.Registry(enabled=True)
+        other = obs.Registry()
         other.merge_dict(payload)
         assert other.counters == {"c": 2}
         assert other.root.children["a"].children["b"].count == 1
@@ -181,3 +172,88 @@ class TestIntegration:
         m.free_objects(ptrs)
         assert reg.counters["memory.alloc_objects"] == 10
         assert reg.counters["memory.free_objects"] == 10
+
+
+class _Counters(dict):
+    """A counter map that reports every bump (``obs.count`` writes it
+    directly, bypassing the registry's methods)."""
+
+    def __init__(self, on_probe):
+        super().__init__()
+        self._on_probe = on_probe
+
+    def __setitem__(self, name, value):
+        self._on_probe(name)
+        super().__setitem__(name, value)
+
+
+class _WatchedRegistry(obs.Registry):
+    """A registry that reports every probe before recording it."""
+
+    def __init__(self, on_probe):
+        super().__init__()
+        self._on_probe = on_probe
+        self.counters = _Counters(on_probe)
+
+    def add_time(self, name, seconds, count=1):
+        self._on_probe(name)
+        super().add_time(name, seconds, count)
+
+    def add_root_time(self, name, seconds, count=1):
+        self._on_probe(name)
+        super().add_root_time(name, seconds, count)
+
+    def span(self, name):
+        self._on_probe(name)
+        return super().span(name)
+
+
+def test_no_probe_on_the_per_warp_path(monkeypatch):
+    # probes sit at launch, wave and layer boundaries: none may fire
+    # while a kernel body, a warp's MemoryTrace.finalize or an engine's
+    # replay_wave runs, so telemetry cost cannot scale with the work
+    from repro.gpu import machine as machine_mod
+    from repro.gpu.replay import FusedEngine, ReferenceEngine
+    from repro.gpu.trace import MemoryTrace
+    from repro.harness.runner import ReplayMemo, run_one
+    from repro.workloads import workload_names
+
+    running = []
+    entered = {}
+    fired = []
+
+    def region(label, fn):
+        def wrapped(*args, **kwargs):
+            entered[label] = entered.get(label, 0) + 1
+            running.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+        return wrapped
+
+    def on_probe(name):
+        if running:
+            fired.append((name, running[-1]))
+
+    real_launch = machine_mod._launch
+    monkeypatch.setattr(
+        machine_mod, "_launch",
+        lambda m, kernel, n: real_launch(m, region("kernel", kernel), n))
+    monkeypatch.setattr(MemoryTrace, "finalize",
+                        region("finalize", MemoryTrace.finalize))
+    for engine in (ReferenceEngine, FusedEngine):
+        monkeypatch.setattr(engine, "replay_wave",
+                            region("replay_wave", engine.replay_wave))
+
+    prev = obs.set_registry(_WatchedRegistry(on_probe))
+    try:
+        for workload in workload_names():
+            for technique in ("cuda", "coal", "soa"):
+                run_one(workload, technique, scale=0.02, use_cache=False,
+                        memo=ReplayMemo())
+    finally:
+        watched = obs.set_registry(prev)
+    assert set(entered) == {"kernel", "finalize", "replay_wave"}
+    assert watched.counters["machine.launches"] > 0
+    assert not fired, sorted(set(fired))[:10]

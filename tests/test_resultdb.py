@@ -136,48 +136,47 @@ def _write(tmp_path, name, payload):
 
 
 def test_import_selfbench(db, tmp_path):
+    for schema in ("repro-selfbench/2", "repro-selfbench/3"):
+        path = _write(tmp_path, "BENCH_pipeline.json", {
+            "schema": schema,
+            "scale": 0.05, "seed": 7, "config": "scaled-v100",
+            "runs": [
+                {"workload": "TRAF", "technique": "cuda", "engine": "numpy",
+                 "wall_s": 1.5, "cycles": 100, "checksum": 3.25},
+                {"workload": "TRAF", "technique": "soa", "engine": "numpy",
+                 "wall_s": 1.0, "cycles": 80, "checksum": 3.25},
+            ],
+        })
+        info = import_bench_file(db, path)
+        assert info["kind"] == "bench-pipeline"
+        assert info["points"] == 2
+        rows = db.query_rows(sweep="bench:pipeline")
+        assert {r["technique"] for r in rows} == {"cuda", "soa"}
+        assert rows[0]["engine"] == "numpy"
+        # re-import upserts: same deterministic IDs, no duplicates
+        info2 = import_bench_file(db, path)
+        assert info2["points"] == 2
+        assert db.point_count(sweep="bench:pipeline") == 2
+
+
+def test_import_malformed_entry_records_nothing(db, tmp_path):
+    # a known schema with a bad entry is a clean error, and the run row
+    # shares the points' transaction: no orphan run is left behind
+    from repro.sweep.cli import sweep_cli_main
+
     path = _write(tmp_path, "BENCH_pipeline.json", {
         "schema": "repro-selfbench/2",
-        "scale": 0.05, "seed": 7, "config": "scaled-v100",
-        "runs": [
-            {"workload": "TRAF", "technique": "cuda", "engine": "numpy",
-             "wall_s": 1.5, "cycles": 100, "checksum": 3.25},
-            {"workload": "TRAF", "technique": "soa", "engine": "numpy",
-             "wall_s": 1.0, "cycles": 80, "checksum": 3.25},
-        ],
+        "runs": [{"workload": "TRAF", "technique": "cuda",
+                  "engine": "fused"},
+                 {"engine": "fused"}],
     })
-    info = import_bench_file(db, path)
-    assert info["kind"] == "bench-pipeline"
-    assert info["points"] == 2
-    rows = db.query_rows(sweep="bench:pipeline")
-    assert {r["technique"] for r in rows} == {"cuda", "soa"}
-    assert rows[0]["engine"] == "numpy"
-    # re-import upserts: same deterministic IDs, no duplicates
-    info2 = import_bench_file(db, path)
-    assert info2["points"] == 2
-    assert db.point_count(sweep="bench:pipeline") == 2
+    with pytest.raises(ResultDBError, match=r"runs\[1\]: missing workload"):
+        import_bench_file(db, path)
+    assert db.runs() == []
+    assert db.point_count() == 0
 
-
-def test_import_service_bench(db, tmp_path):
-    path = _write(tmp_path, "BENCH_service.json", {
-        "schema": "repro-service-bench/1",
-        "workers": 4, "scale": 0.05, "experiments": ["fig6"],
-        "phases": {
-            "serial": {"wall_s": 10.0, "mode": "serial",
-                       "warm_start": False,
-                       "totals": {"shards": 5, "memo_hits": 0,
-                                  "memo_misses": 5, "memo_hit_rate": 0.0}},
-            "parallel": {"wall_s": 4.0, "mode": "parallel",
-                         "warm_start": True,
-                         "totals": {"shards": 5, "memo_hits": 5,
-                                    "memo_misses": 0,
-                                    "memo_hit_rate": 1.0}},
-        },
-    })
-    info = import_bench_file(db, path)
-    assert info["points"] == 2
-    rows = db.query_rows(sweep="bench:service")
-    assert {r["phase"] for r in rows} == {"serial", "parallel"}
+    assert sweep_cli_main(["--db", str(db.path), "import", str(path)]) == 2
+    assert db.runs() == []
 
 
 def test_import_loadtest(db, tmp_path):
@@ -205,28 +204,33 @@ def test_import_rejects_unknown_schema(db, tmp_path):
 
 
 def test_selfbench_records_into_db(tmp_path):
-    # the selfbench writer doubles as a recorder: with db_path set the
-    # BENCH report is imported into the sweep DB in the same call
-    from repro.harness.selfbench import run_selfbench
+    # a selfbench report is recorded through the BENCH importer, the
+    # same path as 'python -m repro sweep import'
+    from repro.harness.selfbench import SCHEMA, run_selfbench
 
     out = tmp_path / "BENCH_pipeline.json"
-    dbp = tmp_path / "results.sqlite"
     report = run_selfbench(workloads=["TRAF"], techniques=("cuda",),
-                           scale=0.05, output=str(out),
-                           db_path=str(dbp))
-    assert report["resultdb"]["kind"] == "bench-pipeline"
-    # one point per (engine, workload, technique) run
-    assert report["resultdb"]["points"] == len(report["runs"])
-    with ResultDB(dbp) as db:
+                           scale=0.05, output=str(out))
+    assert report["schema"] == SCHEMA == "repro-selfbench/3"
+    with ResultDB(tmp_path / "results.sqlite") as db:
+        info = import_bench_file(db, out)
+        assert info["kind"] == "bench-pipeline"
+        # one point per (engine, workload, technique) run
+        assert info["points"] == len(report["runs"])
         rows = db.query_rows(sweep="bench:pipeline")
         assert {r["engine"] for r in rows} == {"reference", "fused"}
         assert all(r["workload"] == "TRAF" for r in rows)
 
 
-def test_selfbench_without_db_path_records_nothing(tmp_path):
+def test_selfbench_without_db_path_records_nothing(tmp_path, monkeypatch):
+    # selfbench only writes its report; the result DB is never touched
     from repro.harness.selfbench import run_selfbench
 
+    dbp = tmp_path / "results.sqlite"
+    monkeypatch.setenv("REPRO_RESULTDB", str(dbp))
     out = tmp_path / "BENCH_pipeline.json"
     report = run_selfbench(workloads=["TRAF"], techniques=("cuda",),
                            scale=0.05, output=str(out))
+    assert out.exists()
     assert "resultdb" not in report
+    assert not dbp.exists()

@@ -146,7 +146,7 @@ def test_corrupt_file_treated_as_empty(store):
 
 @pytest.fixture
 def fresh_obs():
-    reg = obs.Registry(enabled=True)
+    reg = obs.Registry()
     prev = obs.set_registry(reg)
     _reset_bucket_warnings()
     try:

@@ -92,7 +92,7 @@ def test_failed_version_read_is_retried_not_recreated(store, monkeypatch):
 def test_unavailable_store_reads_cold_without_counting_corruption(
         store, monkeypatch):
     store.merge_bucket("b", {b"k": _delta(1)})
-    reg = obs.Registry(enabled=True)
+    reg = obs.Registry()
     prev = obs.set_registry(reg)
     store_mod._reset_bucket_warnings()
     try:
