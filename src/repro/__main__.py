@@ -18,10 +18,7 @@ Usage::
     python -m repro submit fig6 --quick        # submit to a running daemon
     python -m repro status                     # daemon queue/cache status
     python -m repro drain                      # graceful daemon shutdown
-    python -m repro cluster --workers 3        # consistent-hash cluster
-    python -m repro loadtest --users 100000    # seeded traffic + BENCH_serve
     python -m repro chaos --seeds 25           # fault-injection soak run
-    python -m repro chaos --cluster            # ...against a live cluster
     python -m repro sweep run spec.json        # characterization sweep
     python -m repro sweep query --where model_tlb=true   # query the DB
     python -m repro fig6 --config l1.size_bytes=8192     # knob override
@@ -39,6 +36,7 @@ import argparse
 import sys
 import time
 
+from .argtypes import positive_float, positive_int
 from .core.instrumentation import disassemble
 from .errors import UnknownEngineError, UnknownTechniqueError
 from .gpu.config import scaled_config
@@ -63,34 +61,7 @@ EXPERIMENTS = {
 }
 
 #: leading commands routed to the serving layer's own CLI parsers
-SERVE_COMMANDS = ("serve", "submit", "status", "drain", "cluster",
-                  "loadtest")
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an int strictly greater than zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a float strictly greater than zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {text!r}")
-    return value
+SERVE_COMMANDS = ("serve", "submit", "status", "drain")
 
 
 def _unknown_experiment_message(name: str) -> str:
@@ -194,30 +165,22 @@ def _chaos_main(argv) -> int:
                     "full store/service/serve stack and assert the "
                     "recovery invariants (see DESIGN.md §5.5).",
     )
-    parser.add_argument("--seeds", type=_positive_int, default=5,
+    parser.add_argument("--seeds", type=positive_int, default=5,
                         help="number of seeded schedules to run "
                              "(default 5)")
     parser.add_argument("--start-seed", type=int, default=0,
                         help="first seed of the range (default 0)")
-    parser.add_argument("--scale", type=_positive_float, default=0.05,
+    parser.add_argument("--scale", type=positive_float, default=0.05,
                         help="workload scale per scenario (default 0.05)")
     parser.add_argument("--experiments", default=None,
                         help="comma-separated experiment ids each "
                              "scenario submits (default: init)")
-    parser.add_argument("--cluster", action="store_true",
-                        help="soak a consistent-hash cluster instead of "
-                             "a single daemon: router-side faults plus a "
-                             "worker SIGKILL per scenario")
-    parser.add_argument("--cluster-workers", type=_positive_int, default=2,
-                        help="worker daemons per cluster scenario "
-                             "(default 2; with --cluster)")
     args = parser.parse_args(argv)
 
     from .faults.chaos import (
         DEFAULT_EXPERIMENTS,
         format_report,
         run_chaos,
-        run_cluster_chaos,
     )
 
     experiments = (tuple(e for e in args.experiments.split(",") if e)
@@ -225,13 +188,8 @@ def _chaos_main(argv) -> int:
     for name in experiments:
         if name not in EXPERIMENT_REGISTRY:
             parser.error(_unknown_experiment_message(name))
-    if args.cluster:
-        report = run_cluster_chaos(args.seeds, args.start_seed,
-                                   experiments, scale=args.scale,
-                                   num_workers=args.cluster_workers)
-    else:
-        report = run_chaos(args.seeds, args.start_seed, experiments,
-                           scale=args.scale)
+    report = run_chaos(args.seeds, args.start_seed, experiments,
+                       scale=args.scale)
     print(format_report(report))
     return 0 if report.ok else 1
 
@@ -277,7 +235,7 @@ def main(argv=None) -> int:
                              "dotted keys reach cache geometry, e.g. "
                              "--config l1.size_bytes=8192 "
                              "--config model_tlb=false)")
-    parser.add_argument("--scale", type=float, default=0.25,
+    parser.add_argument("--scale", type=positive_float, default=0.25,
                         help="workload scale factor (default 0.25)")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated workload subset for sweep-"
@@ -285,7 +243,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="shrink the self-sized experiments to smoke "
                              "size (CI; pair with a small --scale)")
-    parser.add_argument("--workers", type=_positive_int, default=None,
+    parser.add_argument("--workers", type=positive_int, default=None,
                         help="worker processes for 'all' "
                              "(default: min(8, cpu count))")
     parser.add_argument("--serial", action="store_true",
@@ -302,7 +260,7 @@ def main(argv=None) -> int:
                         help="dump the merged span/counter registry of "
                              "'all' (machine + service + store layers) "
                              "to this JSON path")
-    parser.add_argument("--timeout", type=_positive_float, default=900.0,
+    parser.add_argument("--timeout", type=positive_float, default=900.0,
                         help="per-shard timeout in seconds (default 900)")
     parser.add_argument("--output", default=None,
                         help="report path for 'selfbench' "
@@ -331,8 +289,8 @@ def main(argv=None) -> int:
         for name in experiment_names():
             print(f"{name:8s} {get_experiment(name).description}")
         print("plus: all | disasm | profile | fuzz | selfbench | serve | "
-              "submit | status | drain | cluster | loadtest | "
-              "chaos [--cluster] | sweep [run|ls|show|query|report|import]")
+              "submit | status | drain | chaos | "
+              "sweep [run|ls|show|query|report|import]")
         return 0
 
     if args.experiment == "selfbench":
@@ -340,8 +298,7 @@ def main(argv=None) -> int:
             parser.error(
                 f"'selfbench' takes no target (got {args.target!r}); it is "
                 "only the engine gate.  The service is timed by "
-                "'perfbench/run.py --workload all-cold|all-warm', serving "
-                "load by 'python -m repro loadtest'")
+                "'perfbench/run.py --workload all-cold|all-warm'")
 
         from .harness.selfbench import DEFAULT_OUTPUT, format_report, run_selfbench
 

@@ -26,12 +26,6 @@ Invariants asserted per seed (any violation fails the run):
 
 The scenario layer is importable (``run_chaos``) so the test suite can
 soak a couple of seeds under the ``slow`` marker while CI runs more.
-
-``python -m repro chaos --cluster`` runs the same soak against a
-consistent-hash cluster (:mod:`repro.serve.cluster`): router-side
-frame faults plus a deterministic SIGKILL of one worker mid-scenario,
-asserting failover keeps every result bit-identical to the *serial*
-fault-free baseline and the shared store intact.
 """
 from __future__ import annotations
 
@@ -316,179 +310,6 @@ def _submit_drain(client, result: SeedResult) -> None:
         except ServeError:
             result.client_retries += 1
             time.sleep(0.05)
-
-
-# ----------------------------------------------------------------------
-# cluster scenarios
-# ----------------------------------------------------------------------
-def _start_cluster(tmp: Path, num_workers: int):
-    """Boot an in-process cluster router over ``num_workers`` real
-    subprocess daemons sharing one store; returns
-    (router, thread, rc_box, client)."""
-    from ..serve.client import ServeClient
-    from ..serve.cluster import ClusterRouter, WorkerConfig
-
-    sock = str(tmp / "router.sock")
-    router = ClusterRouter(
-        num_workers=num_workers,
-        socket_path=sock,
-        worker_dir=str(tmp / "workers"),
-        drain_grace_s=60.0,
-        worker_config=WorkerConfig(
-            service_workers=2,
-            shard_timeout_s=300.0,
-            store_dir=str(tmp / "store"),
-            drain_grace_s=60.0,
-        ),
-    )
-    rc: Dict[str, Optional[int]] = {"value": None}
-    thread = threading.Thread(target=lambda: rc.update(value=router.run()),
-                              name="chaos-cluster", daemon=True)
-    thread.start()
-    if not router.ready.wait(120.0):
-        raise RuntimeError("chaos cluster failed to start")
-    client = ServeClient(socket_path=sock, timeout=300.0)
-    client.wait_until_ready(10.0)
-    return router, thread, rc, client
-
-
-def run_cluster_scenario(seed: int,
-                         experiments: Sequence[str] = DEFAULT_EXPERIMENTS,
-                         scale: float = 0.05,
-                         baseline: Optional[Dict[str, str]] = None,
-                         num_workers: int = 2,
-                         ) -> Tuple[SeedResult, Dict[str, str]]:
-    """One cluster chaos scenario: seeded faults fire in the *router*
-    (frame disconnects/delays, drain), and one worker is SIGKILLed
-    between the cold and warm submit passes.  The invariants are the
-    single-daemon ones plus failover: every submission still succeeds,
-    results stay bit-identical to the serial fault-free baseline, the
-    shared store stays intact, and the cluster still drains cleanly
-    (exit 0) after losing and restarting a worker."""
-    t0 = time.perf_counter()
-    schedule = FaultSchedule.generate(seed)
-    result = SeedResult(
-        seed=seed,
-        schedule=f"cluster[{num_workers}w] " + schedule.describe(),
-    )
-    rendered: Dict[str, str] = {}
-
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmpdir:
-        tmp = Path(tmpdir)
-        reg = obs.Registry()
-        prev_reg = obs.set_registry(reg)
-        armed = None
-        try:
-            router, thread, rc, client = _start_cluster(tmp, num_workers)
-            try:
-                armed = core.arm(schedule,
-                                 scratch_dir=str(tmp / "scratch"))
-                for name in experiments:
-                    reply = _submit_with_retry(client, result, name, scale)
-                    if reply is None:
-                        result.violations.append(
-                            f"submit of {name!r} never succeeded "
-                            f"({CLIENT_ATTEMPTS} attempts)")
-                        continue
-                    rendered[name] = reply.get("rendered", "")
-                # deterministic mid-run worker kill: the supervisor must
-                # evict + restart it and the warm pass must still answer
-                killed = router.kill_worker(index=seed % num_workers)
-                if killed is None:
-                    result.violations.append("no live worker to kill")
-                else:
-                    # failover invariant: the supervisor restarts the
-                    # kill and the full ring recovers
-                    deadline = time.monotonic() + 60.0
-                    while ((router.worker_restarts < 1
-                            or len(router.ring) < num_workers)
-                           and time.monotonic() < deadline):
-                        time.sleep(0.1)
-                    if router.worker_restarts < 1:
-                        result.violations.append(
-                            f"killed worker {killed} was not restarted "
-                            f"within 60s")
-                    elif len(router.ring) < num_workers:
-                        result.violations.append(
-                            f"ring did not recover to {num_workers} "
-                            f"workers within 60s")
-                for name in experiments:
-                    warm = _submit_with_retry(client, result, name, scale)
-                    if warm is None:
-                        result.violations.append(
-                            f"post-kill resubmit of {name!r} never "
-                            f"succeeded")
-                    elif name in rendered \
-                            and warm.get("rendered", "") != rendered[name]:
-                        result.violations.append(
-                            f"post-kill resubmit of {name!r} returned a "
-                            f"different result")
-            finally:
-                try:
-                    _submit_drain(client, result)
-                except Exception:
-                    pass
-                router.request_shutdown("chaos cleanup")
-                thread.join(120.0)
-                if thread.is_alive():
-                    result.violations.append("cluster failed to drain "
-                                             "within 120s")
-                elif rc["value"] != 0:
-                    result.violations.append(
-                        f"cluster exited {rc['value']} instead of 0")
-                if armed is not None:
-                    result.consumed = armed.consumed()
-                    core.disarm()
-                    armed = None
-        finally:
-            if armed is not None:
-                core.disarm()
-            obs.set_registry(prev_reg)
-        _check_store(tmp, result)
-
-    _check_accounting(result, reg.counters)
-    if baseline is not None:
-        for name in experiments:
-            if name in rendered and rendered[name] != baseline.get(name):
-                result.violations.append(
-                    f"cluster result of {name!r} differs from the "
-                    f"serial fault-free baseline")
-    result.wall_s = time.perf_counter() - t0
-    return result, rendered
-
-
-def run_cluster_chaos(num_seeds: int = 3, start_seed: int = 0,
-                      experiments: Sequence[str] = DEFAULT_EXPERIMENTS,
-                      scale: float = 0.05, verbose: bool = True,
-                      num_workers: int = 2) -> ChaosReport:
-    """Serial fault-free baseline, then ``num_seeds`` cluster scenarios
-    (router faults + a worker kill each)."""
-    t0 = time.perf_counter()
-    experiments = tuple(experiments)
-
-    base_result, baseline = run_scenario(None, experiments, scale)
-    if not base_result.ok or set(baseline) != set(experiments):
-        missing = [f"baseline run failed: {v}"
-                   for v in base_result.violations] or \
-                  ["baseline run produced no results"]
-        base_result.violations[:] = missing
-        return ChaosReport(seeds=[base_result],
-                           baseline_experiments=experiments,
-                           wall_s=time.perf_counter() - t0)
-
-    seeds: List[SeedResult] = []
-    for seed in range(start_seed, start_seed + num_seeds):
-        result, _ = run_cluster_scenario(seed, experiments, scale,
-                                         baseline=baseline,
-                                         num_workers=num_workers)
-        seeds.append(result)
-        if verbose:
-            state = "ok" if result.ok else "FAIL"
-            fired = ",".join(f"{n}:{a}" for n, a in result.consumed) or "-"
-            print(f"[chaos] cluster seed {seed}: {state} "
-                  f"({result.wall_s:.1f}s, fired {fired})", flush=True)
-    return ChaosReport(seeds=seeds, baseline_experiments=experiments,
-                       wall_s=time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------

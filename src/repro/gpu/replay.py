@@ -20,7 +20,7 @@ asserts bit-identical counters and DRAM row state):
     representative each, and the survivors are scheduled into dense
     *rounds* of set-distinct accesses so the packed-integer cache
     transition becomes a handful of 2-d numpy gathers/scatters per
-    round instead of a python loop per transaction (section 5.10 of
+    round instead of a python loop per transaction (section 5.9 of
     DESIGN.md).  DRAM row-buffer accounting is vectorized per bank
     over the L2 miss stream.  Equivalence with the reference's clock
     stamps rests on LRU stamps only ever being *compared within one
@@ -177,7 +177,7 @@ class FusedEngine:
     within one set of one cache level, and positions are strictly
     monotone in service order there, so every hit/evict decision -- and
     therefore every counter -- is bit-identical to the reference
-    (DESIGN.md section 5.10 carries the full argument).
+    (DESIGN.md section 5.9 carries the full argument).
 
     State lives in four dense tables (``tag``/``val`` per level) of
     shape ``(num_sets, assoc)``.  A way's value packs

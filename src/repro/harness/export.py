@@ -58,7 +58,7 @@ def _restore_key(key: str):
 
 
 # ----------------------------------------------------------------------
-# atomic JSON writing (shared by selfbench / loadtest / manifests)
+# atomic JSON writing (shared by selfbench / manifests)
 # ----------------------------------------------------------------------
 def write_json_atomic(
     payload: Any,
@@ -112,8 +112,7 @@ def validate_export(payload) -> None:
     """Schema-check an exported payload; raises ``ValueError``.
 
     The export counterpart of
-    :func:`~repro.harness.service.validate_manifest` and
-    :func:`~repro.serve.loadtest.validate_loadtest_report`: dispatches
+    :func:`~repro.harness.service.validate_manifest`: dispatches
     on the ``schema`` tag and checks the shape of figure exports
     (:data:`EXPORT_SCHEMA`) and sweep query row exports
     (:data:`ROWS_SCHEMA`).  ``export_figure``/``export_rows`` run it

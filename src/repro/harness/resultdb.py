@@ -436,12 +436,11 @@ def _matches(row: Mapping[str, Any], where: Mapping[str, Any]) -> bool:
 # ----------------------------------------------------------------------
 # importers: the ad-hoc BENCH_*.json formats land as runs + points
 # ----------------------------------------------------------------------
-#: BENCH schema tag -> importer kind
-_IMPORT_KINDS = {
-    "repro-selfbench/2": "bench-pipeline",
-    "repro-selfbench/3": "bench-pipeline",
-    "repro-loadtest/1": "bench-serve",
-}
+#: the BENCH schema tags ``sweep import`` accepts (both selfbench)
+_IMPORT_SCHEMAS = ("repro-selfbench/2", "repro-selfbench/3")
+
+#: the run/point kind every imported selfbench report records as
+_IMPORT_KIND = "bench-pipeline"
 
 #: numeric per-run fields of a selfbench entry that become metrics
 _SELFBENCH_METRICS = ("wall_s", "replay_s", "cycles", "l1_accesses",
@@ -449,8 +448,8 @@ _SELFBENCH_METRICS = ("wall_s", "replay_s", "cycles", "l1_accesses",
                       "checksum")
 
 
-def _import_point_id(kind: str, identity: Mapping[str, Any]) -> str:
-    return content_id({"import": kind, **identity})
+def _import_point_id(identity: Mapping[str, Any]) -> str:
+    return content_id({"import": _IMPORT_KIND, **identity})
 
 
 def _object(value: Any, where: str, required: Sequence[str] = ()) -> Dict:
@@ -466,28 +465,25 @@ def _object(value: Any, where: str, required: Sequence[str] = ()) -> Dict:
 def import_bench_file(db: ResultDB, path: Any) -> Dict[str, Any]:
     """Import one ``BENCH_*.json`` blob; returns an import summary.
 
-    Dispatches on the payload's ``schema`` tag
-    (``repro-selfbench/2`` and ``/3`` / ``repro-loadtest/1``).  Point
-    IDs are deterministic over the entry identity, so re-importing the
-    same file upserts instead of duplicating.  The run row and its
-    points commit in one transaction: a malformed entry raises
-    :class:`ResultDBError` and records nothing.
+    The payload's ``schema`` tag must be ``repro-selfbench/2`` or
+    ``/3``; any other tag is refused.  Point IDs are deterministic over
+    the entry identity, so re-importing the same file upserts instead
+    of duplicating.  The run row and its points commit in one
+    transaction: a malformed entry raises :class:`ResultDBError` and
+    records nothing.
     """
     path = Path(path)
     payload = json.loads(path.read_text())
     schema = payload.get("schema") if isinstance(payload, dict) else None
-    kind = _IMPORT_KINDS.get(schema)
-    if kind is None:
+    if schema not in _IMPORT_SCHEMAS:
         raise ResultDBError(
             f"{path}: unknown BENCH schema {schema!r} (known: "
-            f"{', '.join(sorted(_IMPORT_KINDS))})")
-    importer = (_import_selfbench if kind == "bench-pipeline"
-                else _import_loadtest)
-    run_id = db.begin_run(f"import-{kind}", name=path.name,
+            f"{', '.join(_IMPORT_SCHEMAS)})")
+    run_id = db.begin_run(f"import-{_IMPORT_KIND}", name=path.name,
                           spec={"schema": schema}, source=str(path),
                           commit=False)
     try:
-        n = importer(db, run_id, payload)
+        n = _import_selfbench(db, run_id, payload)
     except ResultDBError as exc:
         db.rollback()
         raise ResultDBError(f"{path}: {exc}") from None
@@ -495,7 +491,7 @@ def import_bench_file(db: ResultDB, path: Any) -> Dict[str, Any]:
         db.rollback()
         raise
     db.commit()
-    return {"run_id": run_id, "kind": kind, "points": n,
+    return {"run_id": run_id, "kind": _IMPORT_KIND, "points": n,
             "source": str(path)}
 
 
@@ -515,7 +511,7 @@ def _import_selfbench(db: ResultDB, run_id: str, payload: Dict) -> int:
             "config": config,
         }
         db.record_point(
-            run_id, _import_point_id("bench-pipeline", identity),
+            run_id, _import_point_id(identity),
             sweep="bench:pipeline",
             workload=entry["workload"], technique=entry["technique"],
             scale=scale, seed=seed, iterations=payload.get("iterations"),
@@ -527,41 +523,3 @@ def _import_selfbench(db: ResultDB, run_id: str, payload: Dict) -> int:
         )
         n += 1
     return n
-
-
-def _import_loadtest(db: ResultDB, run_id: str, payload: Dict) -> int:
-    spec = _object(payload.get("spec", {}), "spec")
-    identity = {"spec": spec, "mode": payload.get("mode"),
-                "workers": payload.get("workers"),
-                "requests": payload.get("requests")}
-    lat = _object(payload.get("latency_s", {}), "latency_s")
-    cluster = _object(payload.get("cluster") or {}, "cluster")
-    db.record_point(
-        run_id, _import_point_id("bench-serve", identity),
-        sweep="bench:serve",
-        workload=None, technique=None,
-        scale=spec.get("scale"), seed=spec.get("seed"), iterations=None,
-        base_config=None, spec=identity, status="ok", outcome="ok",
-        wall_s=payload.get("wall_s"),
-        knobs={"mode": payload.get("mode"),
-               "workers": payload.get("workers"),
-               "users": spec.get("users"),
-               "concurrency": spec.get("concurrency")},
-        metrics={
-            "requests": payload.get("requests"),
-            "wall_s": payload.get("wall_s"),
-            "throughput_rps": payload.get("throughput_rps"),
-            "latency_p50_s": lat.get("p50"),
-            "latency_p95_s": lat.get("p95"),
-            "latency_p99_s": lat.get("p99"),
-            "latency_max_s": lat.get("max"),
-            "dedup_rate": payload.get("dedup_rate"),
-            "cache_hit_rate": payload.get("cache_hit_rate"),
-            "shed_fraction": payload.get("shed_fraction"),
-            "failed": payload.get("failed"),
-            "worker_deaths": cluster.get("worker_deaths"),
-            "worker_restarts": cluster.get("worker_restarts"),
-        },
-        commit=False,
-    )
-    return 1

@@ -1,4 +1,4 @@
-"""repro.serve: a long-lived experiment-serving daemon and cluster.
+"""repro.serve: a long-lived experiment-serving daemon.
 
 Every other entry point in this repository (``python -m repro all``,
 the test suite, the benchmarks) pays full process start-up -- imports,
@@ -16,14 +16,7 @@ package adds the resident surface the ROADMAP's north star asks for:
   CI smoke job;
 * :mod:`repro.serve.jobs` / :mod:`repro.serve.cache` -- the admission
   controller (job table, queue bound, backpressure estimate) and the
-  LRU result cache;
-* :mod:`repro.serve.cluster` -- scale-out: a front router
-  (``python -m repro cluster``) that consistent-hashes job keys across
-  N supervised worker daemons, with failover, restart supervision and
-  router-level load shedding;
-* :mod:`repro.serve.loadtest` -- a seeded zipf traffic generator
-  (``python -m repro loadtest``) reporting latency percentiles,
-  throughput and dedup/shed rates to ``BENCH_serve.json``.
+  LRU result cache.
 
 Computations dispatch into the existing
 :class:`~repro.harness.service.ExperimentService` worker pool via a
@@ -32,32 +25,18 @@ while shards run.
 """
 from .cache import LRUCache
 from .client import ServeClient, ServeError
-from .cluster import ClusterRouter, HashRing, WorkerConfig
 from .jobs import Admission, Job, job_key
-from .loadtest import (
-    LoadtestSpec,
-    generate_schedule,
-    run_loadtest,
-    validate_loadtest_report,
-)
 from .protocol import DEFAULT_PORT, SCHEMA, validate_envelope
 from .server import ReproServer
 
 __all__ = [
     "Admission",
-    "ClusterRouter",
     "DEFAULT_PORT",
-    "HashRing",
     "Job",
     "LRUCache",
-    "LoadtestSpec",
     "ReproServer",
     "SCHEMA",
     "ServeClient",
     "ServeError",
-    "WorkerConfig",
-    "generate_schedule",
     "job_key",
-    "run_loadtest",
-    "validate_loadtest_report",
 ]

@@ -21,10 +21,9 @@ class LRUCache:
     can surface them without a separate ledger.
 
     Thread-safe: jobs complete on executor threads (``server.py``
-    dispatch) and the cluster router shares one instance across
-    connections, so every entry/counter mutation holds an internal
-    lock -- an ``OrderedDict`` mid-``move_to_end`` is not safe to
-    mutate from a second thread.
+    dispatch), so every entry/counter mutation holds an internal lock
+    -- an ``OrderedDict`` mid-``move_to_end`` is not safe to mutate
+    from a second thread.
     """
 
     def __init__(self, capacity: int = 64):

@@ -46,9 +46,7 @@ _HEADER = struct.Struct(">I")
 VERBS = ("submit", "status", "health", "stats", "drain", "experiments",
          "error")
 
-#: machine-readable error codes a reply may carry (``no_workers`` is
-#: cluster-router-only: the hash ring is empty or failover retries ran
-#: out, so there is no daemon to route the submit to)
+#: machine-readable error codes a reply may carry
 ERROR_CODES = (
     "bad_request",
     "unknown_verb",
@@ -57,7 +55,6 @@ ERROR_CODES = (
     "queue_full",
     "job_failed",
     "internal_error",
-    "no_workers",
 )
 
 

@@ -28,6 +28,7 @@ import asyncio
 import difflib
 import os
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -59,6 +60,24 @@ faults.declare("serve.admit", "raise", "delay")
 faults.declare("serve.drain", "delay")
 
 
+def _submit_field_problem(scale: Any, seed: Any,
+                          quick: Any) -> Optional[str]:
+    """Why a submit's ``scale``/``seed``/``quick`` are unusable, or None.
+
+    JSON booleans are Python ``bool``s, which are also ``int``s, so each
+    numeric check excludes them explicitly.  ``scale`` must be finite
+    and float-representable: NaN fails every comparison.
+    """
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not 0 < scale <= sys.float_info.max):
+        return f"scale must be a finite number > 0, got {scale!r:.40}"
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        return f"seed must be an integer, got {seed!r:.40}"
+    if not isinstance(quick, bool):
+        return f"quick must be a boolean, got {quick!r:.40}"
+    return None
+
+
 class ReproServer:
     """The serving daemon (one instance per process).
 
@@ -81,7 +100,6 @@ class ReproServer:
         shard_timeout_s: Optional[float] = None,
         store_dir: Optional[str] = None,
         use_store: bool = True,
-        synthetic_s: Optional[float] = None,
         compute: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
     ):
         from ..harness.service import DEFAULT_TIMEOUT_S, ExperimentService
@@ -100,14 +118,8 @@ class ReproServer:
         self.admission = Admission(queue_limit=queue_limit,
                                    cache_size=cache_size,
                                    job_threads=job_threads)
-        self.synthetic_s = synthetic_s
-        if compute is not None:
-            self._compute = compute
-        elif synthetic_s is not None:
-            self._compute = self._synthetic_compute
-        else:
-            self._compute = self._service_compute
-        self._own_compute = compute is None and synthetic_s is None
+        self._own_compute = compute is None
+        self._compute = self._service_compute if compute is None else compute
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, job_threads),
             thread_name_prefix="repro-serve-job",
@@ -296,11 +308,18 @@ class ReproServer:
             return protocol.error_reply(
                 "submit", "bad_request",
                 detail=f"params must be an object, got {params!r:.40}")
+        scale = msg.get("scale", DEFAULT_SCALE)
+        seed = msg.get("seed", 7)
+        quick = msg.get("quick", False)
+        problem = _submit_field_problem(scale, seed, quick)
+        if problem is not None:
+            return protocol.error_reply("submit", "bad_request",
+                                        detail=problem)
         spec = {
             "experiment": name,
-            "scale": float(msg.get("scale", DEFAULT_SCALE)),
-            "seed": int(msg.get("seed", 7)),
-            "quick": bool(msg.get("quick", False)),
+            "scale": float(scale),
+            "seed": seed,
+            "quick": quick,
             "params": params,
         }
         key = job_key(spec)
@@ -418,27 +437,6 @@ class ReproServer:
             job.future.set_result((ok, payload))
 
         fut.add_done_callback(finish)
-
-    def _synthetic_compute(self, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Loadtest stand-in for the simulator: deterministic cost.
-
-        Sleeps ``synthetic_s`` scaled by a stable per-key factor in
-        [0.5, 1.5) -- distinct job keys get distinct but reproducible
-        costs -- and echoes the spec.  The whole admission path (dedup,
-        cache, backpressure, EWMA ``retry_after``) is exercised for
-        real; only the experiment computation is faked, so the cluster
-        loadtest measures the *serving* layer, not the simulator.
-        """
-        import zlib
-
-        key = job_key(spec)
-        factor = 0.5 + (zlib.crc32(key.encode("utf-8")) % 1000) / 1000.0
-        time.sleep(self.synthetic_s * factor)
-        return {
-            "rendered": (f"synthetic:{spec['experiment']}"
-                         f":{spec['seed']}:{spec['scale']}"),
-            "synthetic": True,
-        }
 
     def _service_compute(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Default compute: one experiment through the service pool."""

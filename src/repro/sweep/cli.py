@@ -22,6 +22,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..argtypes import positive_float, positive_int
 from ..harness.export import export_rows, rows_to_payload
 from ..harness.resultdb import (
     ResultDB,
@@ -87,7 +88,7 @@ def sweep_cli_main(argv: Sequence[str]) -> int:
         prog="python -m repro sweep",
         description="Declarative characterization sweeps over GPU "
                     "config knobs, recorded in a queryable SQLite "
-                    "database (see DESIGN.md §5.9).",
+                    "database (see DESIGN.md §5.8).",
     )
     parser.add_argument("--db", default=None,
                         help=f"result database path (default "
@@ -96,10 +97,10 @@ def sweep_cli_main(argv: Sequence[str]) -> int:
 
     p_run = sub.add_parser("run", help="run a sweep spec")
     p_run.add_argument("spec", help="spec file (JSON or TOML-ish)")
-    p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("--timeout", type=float, default=None,
+    p_run.add_argument("--workers", type=positive_int, default=None)
+    p_run.add_argument("--timeout", type=positive_float, default=None,
                        help="per-point timeout in seconds (default 900)")
-    p_run.add_argument("--batch", type=int, default=None,
+    p_run.add_argument("--batch", type=positive_int, default=None,
                        help="points per commit batch (default 2x workers)")
     p_run.add_argument("--store-dir", default=None)
     p_run.add_argument("--no-store", action="store_true")

@@ -71,15 +71,36 @@ def test_unknown_experiment_exits_2_with_hint(capsys):
     ["all", "--workers", "three"],
     ["all", "--timeout", "0"],
     ["all", "--timeout", "-1.5"],
+    ["all", "--timeout", "nan"],
+    ["fig6", "--scale", "0"],
+    ["sweep", "--db", "r.sqlite", "run", "spec.json", "--batch=-1"],
 ])
-def test_invalid_workers_and_timeout_rejected(capsys, args):
+def test_invalid_workers_and_timeout_rejected(capsys, monkeypatch, tmp_path,
+                                              args):
     # nonsense resource knobs die in argparse (exit 2), not deep in the
-    # service with a confusing traceback
+    # service with a confusing traceback -- nor, for a sweep, by quietly
+    # running none of a valid spec's points
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(
+        '{"name": "t", "techniques": ["typepointer"], '
+        '"workloads": ["TRAF"], "scale": 0.02}')
     with pytest.raises(SystemExit) as excinfo:
         main(args)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "must be a positive" in err or "expected a positive" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cluster"], "unknown experiment 'cluster'"),
+    (["loadtest"], "unknown experiment 'loadtest'"),
+    (["chaos", "--cluster"], "unrecognized arguments: --cluster"),
+])
+def test_removed_serving_verbs_exit_2(capsys, args, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -315,20 +336,17 @@ def test_profile_experiment_renders_span_tree(capsys):
 def test_selfbench_targets_exit_2_with_hint(target, capsys, monkeypatch,
                                             tmp_path):
     # selfbench is only the engine gate: a target is refused before any
-    # benchmark, service or cluster starts
+    # benchmark or service starts
     from repro.harness.service import ExperimentService
-    from repro.serve import loadtest
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a retired benchmark started")
 
     monkeypatch.setattr(ExperimentService, "run", must_not_run)
-    monkeypatch.setattr(loadtest, "run_loadtest", must_not_run)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(["selfbench", target, "--scale", "0.04"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "perfbench/run.py --workload all-cold|all-warm" in err
-    assert "repro loadtest" in err
     assert list(tmp_path.iterdir()) == []

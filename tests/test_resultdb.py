@@ -179,28 +179,18 @@ def test_import_malformed_entry_records_nothing(db, tmp_path):
     assert db.runs() == []
 
 
-def test_import_loadtest(db, tmp_path):
-    path = _write(tmp_path, "BENCH_serve.json", {
-        "schema": "repro-loadtest/1",
-        "mode": "daemon", "workers": 3, "requests": 100, "wall_s": 2.0,
-        "throughput_rps": 50.0, "dedup_rate": 0.5, "cache_hit_rate": 0.4,
-        "shed_fraction": 0.0, "failed": 0,
-        "spec": {"scale": 0.05, "seed": 7, "users": 1000,
-                 "concurrency": 8},
-        "latency_s": {"p50": 0.01, "p95": 0.05, "p99": 0.09,
-                      "max": 0.2},
-    })
-    info = import_bench_file(db, path)
-    assert info["points"] == 1
-    (row,) = db.query_rows(sweep="bench:serve")
-    assert row["throughput_rps"] == 50.0
-    assert row["users"] == 1000
-
-
 def test_import_rejects_unknown_schema(db, tmp_path):
-    path = _write(tmp_path, "BENCH_weird.json", {"schema": "nope/9"})
-    with pytest.raises(ResultDBError, match="unknown BENCH schema"):
-        import_bench_file(db, path)
+    from repro.sweep.cli import sweep_cli_main
+
+    # reports of the retired serving load benchmark are refused too
+    for schema in ("nope/9", "repro-loadtest/1"):
+        path = _write(tmp_path, "BENCH_weird.json", {"schema": schema})
+        with pytest.raises(ResultDBError, match="unknown BENCH schema"):
+            import_bench_file(db, path)
+        assert sweep_cli_main(["--db", str(db.path), "import",
+                               str(path)]) == 2
+        assert db.runs() == []
+        assert db.point_count() == 0
 
 
 def test_selfbench_records_into_db(tmp_path):

@@ -309,6 +309,40 @@ def test_unknown_experiment_rejected_with_hint(tmp_path):
         assert "fig6" in reply["hint"]
 
 
+@pytest.mark.parametrize("fields", [
+    {"quick": "false"},
+    {"quick": 1},
+    {"scale": "abc"},
+    {"scale": 0},
+    {"scale": -0.5},
+    {"scale": float("nan")},
+    {"scale": float("inf")},
+    {"scale": True},
+    {"seed": "x"},
+    {"seed": 2.9},
+    {"seed": False},
+])
+def test_submit_rejects_malformed_fields_before_admission(fields):
+    # a submit's scale/seed/quick are checked, never coerced: each of
+    # these was once computed (or crashed into internal_error)
+    import asyncio
+
+    from repro.serve import protocol
+
+    compute = FakeCompute()
+    server = ReproServer(compute=compute, use_store=False)
+    try:
+        reply = asyncio.run(server._dispatch({
+            "schema": protocol.SCHEMA, "verb": "submit",
+            "experiment": "init", **fields}))
+    finally:
+        server._executor.shutdown(wait=True)
+    assert reply["ok"] is False
+    assert reply["error"] == "bad_request", reply
+    assert compute.calls == []
+    assert server.admission.jobs == {}
+
+
 def test_drain_finishes_inflight_then_refuses_submits(tmp_path):
     compute = FakeCompute(delay=1.0)
     with serving(tmp_path, compute) as (server, client, rc):
