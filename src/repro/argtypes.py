@@ -18,6 +18,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+def port(text: str) -> int:
+    """argparse type: a TCP port number, 1 to 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a port number, got {text!r}") from None
+    if not 1 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port number from 1 to 65535, got {text!r}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """argparse type: a finite float strictly greater than zero.
 

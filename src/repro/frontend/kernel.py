@@ -1,8 +1,11 @@
 """``@repro.kernel``: launchable kernels in the cudasim style.
 
-A kernel is a Python function whose first parameter is the warp's
-:class:`~repro.gpu.executor.ExecutionContext`; extra parameters are
-ordinary launch arguments (device arrays, pointer batches, scalars)::
+A kernel is a Python function whose first parameter is an
+:class:`~repro.gpu.executor.ExecutionContext` -- a lane vector that may
+span many warps of one wave, with results as if the warps ran one at a
+time (see :mod:`repro.gpu.executor` for the contract and for when a
+wave re-runs warp by warp); extra parameters are ordinary launch
+arguments (device arrays, pointer batches, scalars)::
 
     @kernel
     def step(ctx, cells, grid):

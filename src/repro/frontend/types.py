@@ -24,7 +24,7 @@ declare virtual-function slots::
 The decorator lowers the class onto the existing machinery: it builds a
 :class:`~repro.runtime.typesystem.TypeDescriptor` (single inheritance,
 C++-style layout) whose method implementations wrap the Python bodies
-in a warp-wide :class:`InstanceView`.  Inside a kernel, ``cls.view(ctx,
+in a lane-vector :class:`InstanceView`.  Inside a kernel, ``cls.view(ctx,
 ptrs)`` is the device-side view of a batch of object pointers: field
 reads/writes become charged ``load_field``/``store_field`` operations
 through the execution context, and calling a virtual method routes the
@@ -71,7 +71,7 @@ def abstract(fn: Callable) -> _VirtualMethod:
 
 
 class InstanceView:
-    """A warp-wide device-side view of object pointers.
+    """A device-side view of one lane vector's object pointers.
 
     Attribute access is the lowering seam: reading a declared field
     charges a global load, assigning one charges a global store, and
@@ -213,7 +213,7 @@ def _lower_class(cls, name: Optional[str]):
     td = TypeDescriptor(name or cls.__name__, fields=fields,
                         methods=methods, base=base_td)
     # wire the concrete bodies now that the class identity exists: each
-    # impl runs the Python body over a warp-wide view of its lanes
+    # impl runs the Python body over a view of its lanes
     for mname, marker in bodies.items():
         if not marker.is_abstract:
             td.own_methods[mname] = _make_impl(cls, marker.fn)

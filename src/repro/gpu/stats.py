@@ -83,12 +83,14 @@ class KernelStats:
 
     # ------------------------------------------------------------------
     def add_instr(self, klass: InstrClass, active_lanes: int,
-                  role: str = None, count: int = 1) -> None:
-        """Charge ``count`` identical warp instructions in one call."""
-        self.warp_instrs[klass] += count
+                  role: str = None, count: int = 1, warps: int = 1) -> None:
+        """Charge ``count`` identical instructions on each of ``warps``
+        warps, which hold ``active_lanes`` active lanes between them."""
+        n = count * warps
+        self.warp_instrs[klass] += n
         self.thread_instrs += active_lanes * count
-        if role is not None and count:
-            self.role_instrs[role] = self.role_instrs.get(role, 0) + count
+        if role is not None and n:
+            self.role_instrs[role] = self.role_instrs.get(role, 0) + n
 
     def add_role_transactions(self, role: str, n: int) -> None:
         if role is not None and n:

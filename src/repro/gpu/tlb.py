@@ -94,7 +94,11 @@ class TLBHierarchy:
                 f"SM id {sm} out of range for {self.num_sms} SMs"
             )
         a = np.asarray(addrs).astype(np.uint64, copy=False)
-        pages = np.unique(a // np.uint64(PAGE_SIZE)).tolist()
+        return self.probe(sm, np.unique(a // np.uint64(PAGE_SIZE)).tolist())
+
+    def probe(self, sm: int, pages) -> int:
+        """Probe distinct ``pages`` in order on SM ``sm``'s L1 TLB and the
+        shared L2 TLB; returns the page walks taken."""
         stats = self.stats
         l1 = self.l1s[sm]
         l2 = self.l2

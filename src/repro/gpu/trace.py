@@ -2,7 +2,9 @@
 
 Execution is split into *capture* and *replay*: warps run functionally
 and append their post-coalescing memory transactions to a
-:class:`MemoryTrace` (one per warp), and a pluggable replay engine
+:class:`MemoryTrace` (one per warp; a wave captured in one kernel call
+fills one wave trace whose ``finalize`` splits it into those per-warp
+traces), and a pluggable replay engine
 (:mod:`repro.gpu.replay`) later pushes one whole wave of traces through
 the cache/DRAM model in the round-robin interleave the simulator has
 always used.
@@ -87,7 +89,8 @@ class MemoryTrace:
 
     __slots__ = (
         "sm", "line", "mask", "txn_count", "txn_start", "store", "role",
-        "_sectors", "_seclens", "_stores", "_roles",
+        "warps", "_sectors", "_seclens", "_stores", "_roles",
+        "_lane_warps", "_warp_sms",
     )
 
     def __init__(self, sm: int):
@@ -96,11 +99,40 @@ class MemoryTrace:
         self._seclens: List[int] = []
         self._stores: List[bool] = []
         self._roles: List[int] = []
+        self._lane_warps = None
+        self._warp_sms = None
+
+    @classmethod
+    def for_wave(cls, warp_sms: List[int]) -> "MemoryTrace":
+        """A capture buffer for a whole wave, ``warp_sms[w]`` being the
+        SM of the wave's ``w``-th warp.  Every access names each lane's
+        warp; :meth:`finalize` then coalesces the wave in one pass and
+        leaves one per-warp trace per warp in :attr:`warps`."""
+        trace = cls(None)
+        trace._lane_warps = []
+        trace._warp_sms = warp_sms
+        return trace
+
+    @classmethod
+    def _frozen(cls, sm, line, mask, txn_count, txn_start, store,
+                role) -> "MemoryTrace":
+        trace = cls.__new__(cls)
+        trace.sm = sm
+        trace.line, trace.mask = line, mask
+        trace.txn_count, trace.txn_start = txn_count, txn_start
+        trace.store, trace.role = store, role
+        trace._sectors = trace._lane_warps = trace._warp_sms = None
+        trace._seclens = trace._stores = trace._roles = None
+        return trace
 
     # ------------------------------------------------------------------
     def append_access(self, canonical: np.ndarray, width: int,
-                      store: bool, rid: int) -> None:
-        """Record one charged access (canonical lane addresses)."""
+                      store: bool, rid: int, warps=None) -> None:
+        """Record one charged access (canonical lane addresses).
+
+        A wave trace also takes ``warps``, each lane's warp index in the
+        wave; the access then counts once for every warp it names.
+        """
         a = canonical.astype(np.uint64, copy=False)
         sectors = a // _U64_SECTOR
         if width > 1:
@@ -108,7 +140,11 @@ class MemoryTrace:
             if not (sectors == last).all():
                 # accesses straddling a sector boundary touch both
                 sectors = np.concatenate([sectors, last])
+                if warps is not None:
+                    warps = np.concatenate([warps, warps])
         self._sectors.append(sectors)
+        if warps is not None:
+            self._lane_warps.append(warps)
         self._seclens.append(len(sectors))
         self._stores.append(store)
         self._roles.append(rid)
@@ -119,8 +155,12 @@ class MemoryTrace:
         When ``stats`` is given, also credits the deferred transaction
         counters (sector totals per access, split by store flag and
         role) -- the batched equivalent of what the executor used to do
-        per access.
+        per access.  A wave trace is coalesced in the same single pass
+        and also split into :attr:`warps`; its own columns then hold
+        every warp's accesses, warp after warp.
         """
+        if self._lane_warps is not None:
+            return self._finalize_wave(stats)
         n_acc = len(self._seclens)
         self.store = np.asarray(self._stores, dtype=bool)
         self.role = np.asarray(self._roles, dtype=np.int16)
@@ -160,20 +200,100 @@ class MemoryTrace:
         )[:-1]
 
         if stats is not None:
-            sec_per_acc = np.bincount(acc_u, minlength=n_acc)
-            st = self.store
-            gst = int(sec_per_acc[st].sum())
-            stats.global_store_transactions += gst
-            stats.global_load_transactions += int(sec_per_acc.sum()) - gst
-            load_roles = self.role[~st]
-            if len(load_roles) and load_roles.max() > 0:
-                by_role = np.bincount(load_roles, weights=sec_per_acc[~st])
-                for rid in range(1, len(by_role)):
-                    n = int(by_role[rid])
-                    if n:
-                        stats.add_role_transactions(role_name(rid), n)
+            self._credit(stats, np.bincount(acc_u, minlength=n_acc))
 
         self._sectors = None
+        self._seclens = self._stores = self._roles = None
+        return self
+
+    def _credit(self, stats, sec_per_acc: np.ndarray) -> None:
+        """Settle the deferred transaction counters into ``stats``."""
+        st = self.store
+        gst = int(sec_per_acc[st].sum())
+        stats.global_store_transactions += gst
+        stats.global_load_transactions += int(sec_per_acc.sum()) - gst
+        load_roles = self.role[~st]
+        if len(load_roles) and load_roles.max() > 0:
+            by_role = np.bincount(load_roles, weights=sec_per_acc[~st])
+            for rid in range(1, len(by_role)):
+                n = int(by_role[rid])
+                if n:
+                    stats.add_role_transactions(role_name(rid), n)
+
+    def _finalize_wave(self, stats) -> "MemoryTrace":
+        """One coalesce pass over a wave: sort every sector by (warp,
+        access, sector) and emit each warp's columns exactly as that
+        warp's own trace would have finalized them."""
+        warp_sms = self._warp_sms
+        lens = np.asarray(self._seclens, dtype=np.int64)
+        total = int(lens.sum())
+        if total:
+            n_ops = len(lens)
+            # one int64 key per sector: (warp, op) above the sector bits,
+            # built and sorted in place (a wave's buffers are large)
+            key = np.concatenate(self._lane_warps) * n_ops
+            key += np.repeat(np.arange(n_ops, dtype=np.int64), lens)
+            sectors = np.concatenate(self._sectors).view(np.int64)
+            self._sectors = self._lane_warps = None
+            sec_bits = int(sectors.max()).bit_length()
+            if sec_bits + (len(warp_sms) * n_ops).bit_length() < 64:
+                key <<= sec_bits
+                key |= sectors
+                del sectors
+                key.sort()
+                s_sorted = (key & ((1 << sec_bits) - 1)).view(np.uint64)
+                key >>= sec_bits
+            else:
+                order = np.lexsort((sectors, key))
+                key, s_sorted = key[order], sectors[order].view(np.uint64)
+                del order, sectors
+            new_acc = np.empty(total, dtype=bool)
+            new_acc[0] = True
+            np.not_equal(key[1:], key[:-1], out=new_acc[1:])
+            acc_warp, acc_op = np.divmod(key[new_acc], n_ops)
+            del key
+            keep = new_acc.copy()
+            keep[1:] |= s_sorted[1:] != s_sorted[:-1]
+            sec_u = s_sorted[keep]
+            del s_sorted
+            acc_u = np.cumsum(new_acc[keep]) - 1
+        else:
+            sec_u = _EMPTY_U64
+            acc_u = acc_op = acc_warp = np.empty(0, dtype=np.int64)
+        n_acc = len(acc_op)
+        self.store = np.asarray(self._stores, dtype=bool)[acc_op]
+        self.role = np.asarray(self._roles, dtype=np.int16)[acc_op]
+
+        line_of = sec_u // _U64_SPL
+        new_txn = np.empty(len(sec_u), dtype=bool)
+        new_txn[:1] = True
+        new_txn[1:] = (line_of[1:] != line_of[:-1]) | (acc_u[1:] != acc_u[:-1])
+        starts = np.flatnonzero(new_txn)
+        self.line = line_of[starts] * _U64_LINE
+        bits = _BIT4[(sec_u % _U64_SPL).astype(np.intp)]
+        self.mask = (np.bitwise_or.reduceat(bits, starts) if len(starts)
+                     else _EMPTY_U8)
+        self.txn_count = np.bincount(acc_u[starts], minlength=n_acc)
+        ends = np.cumsum(self.txn_count)
+        self.txn_start = ends - self.txn_count
+        if stats is not None:
+            self._credit(stats, np.bincount(acc_u, minlength=n_acc))
+
+        # per-warp split: accesses are grouped by warp, in warp order
+        acc_bounds = np.searchsorted(
+            acc_warp, np.arange(len(warp_sms) + 1)).tolist()
+        txn_bounds = np.concatenate(
+            [np.zeros(1, dtype=np.int64), ends])[acc_bounds].tolist()
+        self.warps = [
+            MemoryTrace._frozen(
+                sm, self.line[t0:t1], self.mask[t0:t1],
+                self.txn_count[a0:a1], self.txn_start[a0:a1] - t0,
+                self.store[a0:a1], self.role[a0:a1])
+            for sm, a0, a1, t0, t1 in zip(
+                warp_sms, acc_bounds, acc_bounds[1:],
+                txn_bounds, txn_bounds[1:])
+        ]
+        self._sectors = self._lane_warps = None
         self._seclens = self._stores = self._roles = None
         return self
 

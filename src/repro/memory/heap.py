@@ -30,6 +30,9 @@ SCALAR_TYPES = {
 #: scalar size -> log2(size), for aligned byte-address -> element index
 _SHIFT = {1: 0, 2: 1, 4: 2, 8: 3}
 
+#: atomic op name -> the ufunc that folds an operand into the heap
+ATOMIC_UFUNCS = {"add": np.add, "min": np.minimum, "max": np.maximum}
+
 
 class Heap:
     """Byte-addressable backing store for the simulated GPU memory.
@@ -117,10 +120,7 @@ class Heap:
         np_dtype, size = SCALAR_TYPES[dtype]
         if addrs.size == 0:
             return np.empty(0, dtype=np_dtype)
-        a = addrs.astype(np.int64, copy=False)
-        if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
-            bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
-            raise InvalidAddress(f"warp gather touches invalid address {int(bad):#x}")
+        a = self.check_lanes(addrs, size, "gather")
         if size == 1:
             return self._data[a].view(np_dtype)
         if not (a & (size - 1)).any():
@@ -140,10 +140,7 @@ class Heap:
         np_dtype, size = SCALAR_TYPES[dtype]
         if addrs.size == 0:
             return
-        a = addrs.astype(np.int64, copy=False)
-        if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
-            bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
-            raise InvalidAddress(f"warp scatter touches invalid address {int(bad):#x}")
+        a = self.check_lanes(addrs, size, "scatter")
         vals = np.ascontiguousarray(values, dtype=np_dtype)
         if size == 1 or not (a & (size - 1)).any():
             self._typed_view(size, np_dtype)[a >> _SHIFT[size]] = vals
@@ -151,6 +148,73 @@ class Heap:
         byte_view = vals.view(np.uint8).reshape(len(a), size)
         offsets = np.arange(size, dtype=np.int64)
         self._data[(a[:, None] + offsets[None, :]).ravel()] = byte_view.ravel()
+
+    def atomic(self, addrs: np.ndarray, dtype: str, values, op: str) -> None:
+        """Lane-ordered atomic read-modify-write (atomicAdd/Min/Max).
+
+        Lanes apply in array order, each seeing the previous lane's
+        result -- what the hardware's serialised atomic units guarantee.
+        Aligned addresses take one unbuffered ``ufunc.at`` on the typed
+        heap view, which applies its updates in index order, so a float
+        add rounds exactly as the sequential loop does; misaligned ones
+        take that loop.  ``min``/``max`` replace the current value only
+        when the operand is strictly smaller/larger: a NaN operand never
+        wins, and a tie (``0.0`` against ``-0.0``) keeps the current bits.
+        """
+        ufunc = ATOMIC_UFUNCS.get(op)
+        if ufunc is None:
+            raise ValueError(f"unsupported atomic op {op!r}")
+        np_dtype, size = SCALAR_TYPES[dtype]
+        if addrs.size == 0:
+            return
+        a = self.check_lanes(addrs, size, "atomic")
+        vals = np.broadcast_to(np.asarray(values, dtype=np_dtype), a.shape)
+        if size > 1 and (a & (size - 1)).any():
+            for addr, v in zip(a.tolist(), vals):
+                old = self.load(addr, dtype)
+                if op == "add":
+                    new = np_dtype(old + v)
+                elif op == "min":
+                    new = v if v < old else old
+                else:
+                    new = v if v > old else old
+                self.store(addr, dtype, new)
+            return
+        view = self._typed_view(size, np_dtype)
+        idx = a >> _SHIFT[size]
+        if op == "add" or np.dtype(np_dtype).kind != "f":
+            # integer min/max ties are bit-identical, so any order of
+            # equal winners gives the loop's bytes
+            ufunc.at(view, idx, vals)
+            return
+        # float min/max: the winning *value* is order-free; fix the bits
+        # where ufunc.at and the loop may differ (NaN operands, +-0 ties)
+        keep = ~np.isnan(vals)
+        idx, vals = idx[keep], vals[keep]
+        cells = np.unique(idx)
+        before = view[cells]
+        with np.errstate(invalid="ignore"):  # a NaN already in the heap
+            ufunc.at(view, idx, vals)
+        after = view[cells]
+        stay = np.isnan(before) | (before == after)
+        view[cells[stay]] = before[stay]
+        zero = (after == 0) & ~stay
+        if zero.any():
+            sel = np.isin(idx, cells[zero]) & (vals == 0)
+            first_cells, first = np.unique(idx[sel], return_index=True)
+            view[first_cells] = vals[sel][first]
+
+    def check_lanes(self, addrs: np.ndarray, size: int,
+                    what: str) -> np.ndarray:
+        """Validate per-lane ``size``-byte accesses; returns the addresses
+        as int64.  Raises :class:`InvalidAddress` naming the first bad
+        lane when any access leaves the mapped heap."""
+        a = addrs.astype(np.int64, copy=False)
+        if int(a.min()) < self.null_guard or int(a.max()) + size > self._brk:
+            bad = a[(a < self.null_guard) | (a + size > self._brk)][0]
+            raise InvalidAddress(
+                f"warp {what} touches invalid address {int(bad):#x}")
+        return a
 
     def _typed_view(self, size: int, np_dtype) -> np.ndarray:
         """A cached ``np_dtype`` view over the backing array (element

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from ..argtypes import positive_float, positive_int
+from ..argtypes import port, positive_float, positive_int
 from ..harness.runner import DEFAULT_SCALE
 from . import protocol
 from .client import ServeClient, ServeError
@@ -40,7 +40,7 @@ def _nonneg_int(text: str) -> int:
 def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1",
                         help="daemon host (default 127.0.0.1)")
-    parser.add_argument("--port", type=positive_int,
+    parser.add_argument("--port", type=port,
                         default=protocol.DEFAULT_PORT,
                         help=f"daemon TCP port (default "
                              f"{protocol.DEFAULT_PORT})")
@@ -92,7 +92,7 @@ def _cmd_serve(argv: List[str]) -> int:
         description="Run the experiment-serving daemon (repro-serve/1).",
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=positive_int,
+    parser.add_argument("--port", type=port,
                         default=protocol.DEFAULT_PORT)
     parser.add_argument("--socket", default=None,
                         help="serve on a Unix socket instead of TCP")

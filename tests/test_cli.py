@@ -115,6 +115,19 @@ def test_serve_cli_validates_knobs(capsys, args):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["serve", "--port", "70000"],
+    ["status", "--port", "65536"],
+])
+def test_port_out_of_range_exits_2_without_traceback(capsys, args):
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "1 to 65535" in err
+    assert "Traceback" not in err
+
+
 def test_submit_unknown_experiment_exits_2_locally(capsys):
     # the client CLI rejects a bad id (with a hint) before connecting
     with pytest.raises(SystemExit) as excinfo:
@@ -287,6 +300,9 @@ def test_all_telemetry_covers_every_layer(capsys, tmp_path):
     assert counters["machine.launches"] > 0
     assert counters["service.shards_ok"] > 0
     assert counters.get("store.bucket_corrupt", 0) == 0
+    # TRAF's move kernel stores across warps: its waves re-run per warp
+    assert counters["machine.wave_fallbacks"] > 0
+    assert counters["machine.wave_fallback.conflict"] > 0
     def names(spans):
         for s in spans:
             yield s["name"]
